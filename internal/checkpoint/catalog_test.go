@@ -418,23 +418,7 @@ func TestStorePersistsBeforeAck(t *testing.T) {
 
 	feed := func(from, to uint64) {
 		t.Helper()
-		batch := make([]element.Element, 0, to-from+1)
-		for s := from; s <= to; s++ {
-			batch = append(batch, element.Element{ID: s, Seq: s, Payload: int64(s)})
-		}
-		r.upM.Send(r.priM.ID(), transport.Message{
-			Kind:     transport.KindData,
-			Stream:   subjob.DataStream("j/sj2", "in"),
-			Elements: batch,
-		})
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			if rt2.PEs()[0].Processed() >= to {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("feed: processed %d, want %d", rt2.PEs()[0].Processed(), to)
+		r.feedRuntime(t, rt2, from, to)
 	}
 
 	feed(1, 5)

@@ -71,23 +71,30 @@ func newRig(t *testing.T, backend StoreBackend) *rig {
 
 func (r *rig) feed(t *testing.T, from, to uint64) {
 	t.Helper()
+	r.feedRuntime(t, r.rt, from, to)
+}
+
+// feedRuntime sends elements from..to to rt (a copy on the rig's primary
+// machine) and waits until its first PE has processed them.
+func (r *rig) feedRuntime(t *testing.T, rt *subjob.Runtime, from, to uint64) {
+	t.Helper()
 	batch := make([]element.Element, 0, to-from+1)
 	for s := from; s <= to; s++ {
 		batch = append(batch, element.Element{ID: s, Seq: s, Payload: int64(s)})
 	}
 	r.upM.Send(r.priM.ID(), transport.Message{
 		Kind:     transport.KindData,
-		Stream:   subjob.DataStream("j/sj", "in"),
+		Stream:   subjob.DataStream(rt.Spec().ID, "in"),
 		Elements: batch,
 	})
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if r.rt.PEs()[0].Processed() >= to {
+		if rt.PEs()[0].Processed() >= to {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("feed: processed %d, want %d", r.rt.PEs()[0].Processed(), to)
+	t.Fatalf("feed: processed %d, want %d", rt.PEs()[0].Processed(), to)
 }
 
 func (r *rig) expectAck(t *testing.T, want uint64) {

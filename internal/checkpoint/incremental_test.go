@@ -118,6 +118,11 @@ type storeHarness struct {
 
 func newStoreHarness(t *testing.T) *storeHarness {
 	t.Helper()
+	return newStoreHarnessWith(t, StoreOptions{})
+}
+
+func newStoreHarnessWith(t *testing.T, opts StoreOptions) *storeHarness {
+	t.Helper()
 	net := transport.NewMem(transport.MemConfig{})
 	t.Cleanup(net.Close)
 	clk := clock.New()
@@ -130,7 +135,7 @@ func newStoreHarness(t *testing.T) *storeHarness {
 		t.Fatal(err)
 	}
 	h := &storeHarness{pri: pri, sec: sec, acks: make(chan uint64, 64)}
-	h.store = NewStore(sec, "j/sj", InMemory, 0)
+	h.store = NewStoreWith(sec, "j/sj", opts)
 	t.Cleanup(h.store.Close)
 	pri.RegisterStream(subjob.CkptAckStream("j/sj"), func(_ transport.NodeID, msg transport.Message) {
 		h.acks <- msg.Seq

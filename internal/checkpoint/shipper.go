@@ -27,18 +27,19 @@ type shipJob struct {
 // shipper is the background encode+ship stage shared by the checkpoint
 // variants: the pause window only captures state, and the shipper charges
 // the modeled checkpoint CPU cost, encodes with the binary snapshot codec
-// into a recycled buffer, and sends the result to the store — all while
-// the PEs are back processing. Jobs are shipped strictly in capture order,
-// which the store's delta-chain folding relies on.
+// into a fresh exact-size buffer, and sends that buffer to the store as the
+// message payload — all while the PEs are back processing. The payload is
+// the checkpoint's one allocation and is immutable once sent: the Mem
+// transport passes it by reference and every receiver decodes by aliasing
+// it. Jobs are shipped strictly in capture order, which the store's
+// delta-chain folding relies on.
 type shipper struct {
-	cfg  Config
-	once sync.Once
-	jobs chan shipJob
-	stop chan struct{}
-	done chan struct{}
-
-	// buf is the recycled encode buffer, touched only by the run goroutine.
-	buf []byte
+	cfg    Config
+	stream string // subjob.CkptStream of the runtime's subjob
+	once   sync.Once
+	jobs   chan shipJob
+	stop   chan struct{}
+	done   chan struct{}
 
 	mu           sync.Mutex
 	shipped      int
@@ -64,10 +65,11 @@ func newShipper(cfg Config) *shipper {
 		depth = defaultMaxInFlight
 	}
 	return &shipper{
-		cfg:  cfg,
-		jobs: make(chan shipJob, depth),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cfg:    cfg,
+		stream: subjob.CkptStream(cfg.Runtime.Spec().ID),
+		jobs:   make(chan shipJob, depth),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 }
 
@@ -119,24 +121,24 @@ func (sh *shipper) process(j shipJob) {
 
 	clk := sh.cfg.Clock
 	t0 := clk.Now()
+	var state []byte
 	switch {
 	case j.snap != nil:
-		sh.buf = j.snap.AppendTo(sh.buf[:0])
+		state = j.snap.AppendTo(make([]byte, 0, j.snap.EncodedSize()))
+		// The encoded payload holds a copy of every PE state, so the
+		// captured buffers are dead: the next capture may fill them.
+		rt.ReleaseSnapshot(j.snap)
 	case j.part != nil:
-		sh.buf = j.part.AppendTo(sh.buf[:0])
+		state = j.part.AppendTo(make([]byte, 0, j.part.EncodedSize()))
 	default:
-		sh.buf = j.delta.AppendTo(sh.buf[:0])
+		state = j.delta.AppendTo(make([]byte, 0, j.delta.EncodedSize()))
 	}
-	// The message owns its payload (the Mem transport shares slices by
-	// reference), so the recycled buffer's contents are copied out.
-	state := make([]byte, len(sh.buf))
-	copy(state, sh.buf)
 	encodeDur := clk.Since(t0)
 
 	t1 := clk.Now()
 	rt.Machine().Send(sh.cfg.StoreNode, transport.Message{
 		Kind:         transport.KindCheckpoint,
-		Stream:       subjob.CkptStream(rt.Spec().ID),
+		Stream:       sh.stream,
 		Seq:          j.seq,
 		State:        state,
 		ElementCount: j.units,

@@ -44,6 +44,7 @@ const DefaultDiskLatency = 800 * time.Microsecond
 type Store struct {
 	m           *machine.Machine
 	sjID        string
+	ackStream   string // subjob.CkptAckStream(sjID)
 	backend     StoreBackend
 	diskLatency time.Duration
 	catalog     *Catalog
@@ -104,6 +105,7 @@ func NewStoreWith(m *machine.Machine, sjID string, opts StoreOptions) *Store {
 	s := &Store{
 		m:           m,
 		sjID:        sjID,
+		ackStream:   subjob.CkptAckStream(sjID),
 		backend:     opts.Backend,
 		diskLatency: opts.DiskLatency,
 		catalog:     opts.Catalog,
@@ -307,7 +309,7 @@ func (s *Store) store(batch []storeReq) {
 		}
 		s.m.Send(batch[i].from, transport.Message{
 			Kind:    transport.KindControl,
-			Stream:  subjob.CkptAckStream(s.sjID),
+			Stream:  s.ackStream,
 			Command: "ckpt-stored",
 			Seq:     batch[i].msg.Seq,
 		})

@@ -60,10 +60,6 @@ func TestLifecycleRestoreFromCatalog(t *testing.T) {
 	net := transport.NewMem(transport.MemConfig{})
 	t.Cleanup(net.Close)
 	clk := clock.New()
-	priM, err := machine.New("pri", clk, net)
-	if err != nil {
-		t.Fatal(err)
-	}
 	upM, err := machine.New("up", clk, net)
 	if err != nil {
 		t.Fatal(err)
@@ -84,13 +80,22 @@ func TestLifecycleRestoreFromCatalog(t *testing.T) {
 	// retained; of those, 41..50 are covered by the cataloged delta and
 	// 51..60 died with the process.
 	up := queue.NewOutput("in", upM.Send)
-	up.Subscribe(priM.ID(), subjob.DataStream("j/sj", "in"), true)
+	up.Subscribe("pri", subjob.DataStream("j/sj", "in"), true)
 	batch := make([]element.Element, 60)
 	for i := range batch {
 		batch[i] = element.Element{ID: uint64(i + 1), Payload: int64(i + 1)}
 	}
-	up.Publish(batch) // no handler registered yet: lost in flight, like a crash
-	up.Ack(priM.ID(), 40)
+	// The rebooted machine joins the network only after this publish, so
+	// the network drops the batch on the spot, like a crash: with the
+	// machine already up, the batch waits in its mailbox and is delivered
+	// after all if pri.Start registers the stream before the mailbox
+	// drains.
+	up.Publish(batch)
+	up.Ack("pri", 40)
+	priM, err := machine.New("pri", clk, net)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cat := checkpoint.NewCatalog(checkpoint.NewMemBackend(), checkpoint.Retention{})
 	putCatalogChain(t, cat)
@@ -102,13 +107,20 @@ func TestLifecycleRestoreFromCatalog(t *testing.T) {
 	pri.Start()
 	t.Cleanup(pri.Stop)
 
+	// Start asks the wiring for the upstream queues after it has restored
+	// the primary and before it resyncs them: the one moment the position
+	// reads the fold alone, with none of 51..60 reprocessed yet.
+	var restoredPos uint64
 	lc := NewLifecycle(LifecycleConfig{
 		Spec:    spec,
 		Clock:   clk,
 		Primary: pri,
 		Policy:  &fakePolicy{},
 		Wiring: Wiring{
-			UpstreamOutputs: func() []*queue.Output { return []*queue.Output{up} },
+			UpstreamOutputs: func() []*queue.Output {
+				restoredPos = pri.ConsumedPositions()["in"]
+				return []*queue.Output{up}
+			},
 		},
 		Catalog:            cat,
 		RestoreFromCatalog: true,
@@ -121,8 +133,8 @@ func TestLifecycleRestoreFromCatalog(t *testing.T) {
 	if got := lc.RestoredSeq(); got != 2 {
 		t.Fatalf("RestoredSeq = %d, want 2 (the chain head)", got)
 	}
-	if got := pri.ConsumedPositions()["in"]; got != 50 {
-		t.Fatalf("restored consumed position %d, want 50 (full+delta fold)", got)
+	if restoredPos != 50 {
+		t.Fatalf("restored consumed position %d, want 50 (full+delta fold)", restoredPos)
 	}
 
 	// The resync replays 41..60; the restored dedup floor (50) absorbs

@@ -38,6 +38,10 @@ type StandbyStore struct {
 	mu      sync.Mutex
 	rt      *subjob.Runtime
 	catalog *checkpoint.Catalog
+	// ckptStream and ackStream are the subjob's checkpoint and store-ack
+	// stream names; every copy of the subjob shares them.
+	ckptStream string
+	ackStream  string
 
 	applied      int
 	skipped      int
@@ -83,20 +87,26 @@ func NewStandbyStore(rt *subjob.Runtime) *StandbyStore {
 // cataloged chain always mirrors the in-memory one.
 func NewStandbyStoreWith(rt *subjob.Runtime, catalog *checkpoint.Catalog) *StandbyStore {
 	s := &StandbyStore{
-		rt:      rt,
-		catalog: catalog,
-		work:    make(chan storeReq, 128),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		rt:         rt,
+		catalog:    catalog,
+		ckptStream: subjob.CkptStream(rt.Spec().ID),
+		ackStream:  subjob.CkptAckStream(rt.Spec().ID),
+		work:       make(chan storeReq, 128),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
-	rt.Machine().RegisterStream(subjob.CkptStream(rt.Spec().ID), func(from transport.NodeID, msg transport.Message) {
-		select {
-		case s.work <- storeReq{from: from, msg: msg}:
-		case <-s.stop:
-		}
-	})
+	rt.Machine().RegisterStream(s.ckptStream, s.enqueue)
 	go s.run()
 	return s
+}
+
+// enqueue is the checkpoint-stream handler: it queues the message for the
+// store goroutine.
+func (s *StandbyStore) enqueue(from transport.NodeID, msg transport.Message) {
+	select {
+	case s.work <- storeReq{from: from, msg: msg}:
+	case <-s.stop:
+	}
 }
 
 // Retarget points the store at a different standby runtime (after a
@@ -108,13 +118,8 @@ func (s *StandbyStore) Retarget(rt *subjob.Runtime) {
 	s.chainOK = false
 	s.mu.Unlock()
 	if old.Machine() != rt.Machine() {
-		old.Machine().UnregisterStream(subjob.CkptStream(old.Spec().ID))
-		rt.Machine().RegisterStream(subjob.CkptStream(rt.Spec().ID), func(from transport.NodeID, msg transport.Message) {
-			select {
-			case s.work <- storeReq{from: from, msg: msg}:
-			case <-s.stop:
-			}
-		})
+		old.Machine().UnregisterStream(s.ckptStream)
+		rt.Machine().RegisterStream(s.ckptStream, s.enqueue)
 	}
 }
 
@@ -252,7 +257,7 @@ func (s *StandbyStore) apply(req storeReq) {
 	}
 	rt.Machine().Send(req.from, transport.Message{
 		Kind:    transport.KindControl,
-		Stream:  subjob.CkptAckStream(rt.Spec().ID),
+		Stream:  s.ackStream,
 		Command: "ckpt-stored",
 		Seq:     req.msg.Seq,
 	})
@@ -307,7 +312,7 @@ func (s *StandbyStore) applyPartial(req storeReq) {
 
 	rt.Machine().Send(req.from, transport.Message{
 		Kind:    transport.KindControl,
-		Stream:  subjob.CkptAckStream(rt.Spec().ID),
+		Stream:  s.ackStream,
 		Command: "ckpt-stored",
 		Seq:     req.msg.Seq,
 	})
@@ -382,7 +387,7 @@ func (s *StandbyStore) Close() {
 	default:
 	}
 	rt := s.runtime()
-	rt.Machine().UnregisterStream(subjob.CkptStream(rt.Spec().ID))
+	rt.Machine().UnregisterStream(s.ckptStream)
 	close(s.stop)
 	<-s.done
 }

@@ -141,8 +141,8 @@ func ckptBenchSnapshot(b *testing.B) (*subjob.Snapshot, func()) {
 }
 
 // BenchCheckpointEncodeBinary measures encoding one large full snapshot
-// with the binary codec into a recycled buffer — the shipper's
-// steady-state encode cost.
+// with the binary codec into a buffer of sufficient capacity — the
+// shipper's encode pass without its one payload allocation.
 func BenchCheckpointEncodeBinary(b *testing.B) {
 	snap, cleanup := ckptBenchSnapshot(b)
 	defer cleanup()

@@ -24,11 +24,27 @@ import (
 // the variables that affect future output, not the PE's memory image.
 // StateSize reports the snapshot's size in data-element equivalents, the
 // unit used for checkpoint message accounting.
+//
+// The slice handed to Restore (and to DeltaLogic.ApplyDelta) aliases a
+// received checkpoint payload that the store, the catalog and later folds
+// still read: an implementation must copy or parse what it needs and must
+// neither modify nor retain the slice.
 type Logic interface {
 	Process(e element.Element, emit func(element.Element))
 	Snapshot() []byte
 	Restore(state []byte) error
 	StateSize() int
+}
+
+// SnapshotRecycler is the optional buffer-reuse capability of a Logic. The
+// subjob runtime calls RecycleSnapshot on the capturing goroutine, with the
+// PE paused, immediately before Snapshot: buf is the result of an earlier
+// Snapshot that nobody references any more (its checkpoint has been
+// encoded), and the logic may return it from that next Snapshot instead of
+// allocating. Snapshot stays the one capture call, so a wrapper that
+// overrides it still sees every capture.
+type SnapshotRecycler interface {
+	RecycleSnapshot(buf []byte)
 }
 
 // counterPage is the change-tracking granularity of CounterLogic's pad:
@@ -67,12 +83,15 @@ type CounterLogic struct {
 	// baseline reports whether the change tracking is aligned with a full
 	// snapshot some consumer holds; false after construction or Restore.
 	baseline bool
+	// spare is a dead earlier snapshot the next Snapshot may fill.
+	spare []byte
 }
 
 var (
-	_ Logic        = (*CounterLogic)(nil)
-	_ DeltaLogic   = (*CounterLogic)(nil)
-	_ PartialLogic = (*CounterLogic)(nil)
+	_ Logic            = (*CounterLogic)(nil)
+	_ DeltaLogic       = (*CounterLogic)(nil)
+	_ PartialLogic     = (*CounterLogic)(nil)
+	_ SnapshotRecycler = (*CounterLogic)(nil)
 )
 
 func (l *CounterLogic) padLen() int {
@@ -125,17 +144,28 @@ func (l *CounterLogic) Process(e element.Element, emit func(element.Element)) {
 // Snapshot implements Logic. It does not disturb delta tracking, so
 // recovery-path snapshots never invalidate an in-flight delta chain.
 func (l *CounterLogic) Snapshot() []byte {
-	buf := make([]byte, 16, 16+l.padLen())
+	n := 16 + l.padLen()
+	buf := l.spare
+	l.spare = nil
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	binary.BigEndian.PutUint64(buf[0:8], l.count)
 	binary.BigEndian.PutUint64(buf[8:16], uint64(l.sum))
 	// The pad stands in for application state of the configured size; until
 	// HotSlots writes to it, its content is all zeros and only its transfer
 	// cost matters, exactly as in the original synthetic workload.
 	if l.pad != nil {
-		return append(buf, l.pad...)
+		copy(buf[16:], l.pad)
+	} else {
+		clearBytes(buf[16:])
 	}
-	return append(buf, make([]byte, l.Pad*element.EncodedSize)...)
+	return buf
 }
+
+// RecycleSnapshot implements SnapshotRecycler.
+func (l *CounterLogic) RecycleSnapshot(buf []byte) { l.spare = buf }
 
 // Restore implements Logic. The restored logic has no delta baseline until
 // the next ResetDelta: its first checkpoint after recovery must be full.

@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -239,6 +240,41 @@ func TestCounterLogicSnapshotRoundTrip(t *testing.T) {
 	}
 	if l2.Count() != l.Count() || l2.Sum() != l.Sum() {
 		t.Fatal("state mismatch after restore")
+	}
+}
+
+// TestCounterLogicRecycledSnapshot: a recycled buffer changes where a
+// snapshot lives, never what it holds — stale bytes are overwritten (an
+// untouched pad reads as zeros), a too-small spare is ignored, and a spare
+// is consumed by exactly one Snapshot.
+func TestCounterLogicRecycledSnapshot(t *testing.T) {
+	emit := func(element.Element) {}
+	dirty := func(n int) []byte { return bytes.Repeat([]byte{0xFF}, n) }
+	for _, hot := range []int{0, 4} {
+		l := &CounterLogic{Pad: 3, HotSlots: hot}
+		for i := 1; i <= 10; i++ {
+			l.Process(element.Element{ID: uint64(i), Payload: int64(i)}, emit)
+		}
+		want := l.Snapshot()
+
+		spare := dirty(len(want) + 8)
+		l.RecycleSnapshot(spare)
+		got := l.Snapshot()
+		if &got[0] != &spare[0] {
+			t.Fatalf("HotSlots %d: Snapshot ignored a spare of sufficient capacity", hot)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("HotSlots %d: recycled snapshot %x, want %x", hot, got, want)
+		}
+		if next := l.Snapshot(); &next[0] == &spare[0] {
+			t.Fatalf("HotSlots %d: one spare served two snapshots", hot)
+		}
+
+		small := dirty(len(want) - 1)
+		l.RecycleSnapshot(small)
+		if got := l.Snapshot(); &got[0] == &small[0] || !bytes.Equal(got, want) {
+			t.Fatalf("HotSlots %d: Snapshot used a spare that is too small", hot)
+		}
 	}
 }
 

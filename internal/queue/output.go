@@ -389,6 +389,14 @@ func filterPart(batch []element.Element, router *Partitioner, part int) []elemen
 // Publish takes ownership of elems (see the package comment): the slice is
 // shared as the payload of every outgoing data message, so the caller must
 // not mutate or reuse it after the call. Retention uses an internal copy.
+//
+// A queue has exactly one publisher (the subjob's last PE, or a source's
+// emit loop): calls to Publish must not overlap. Sequence numbers are
+// assigned under the queue lock but the fan-out runs after it is released,
+// and each subscriber's send watermark assumes batches reach it in sequence
+// order — a later batch that overtook an earlier one would raise the
+// watermark past it and the earlier batch would be skipped as already
+// replayed. Publish may run concurrently with every other method.
 func (o *Output) Publish(elems []element.Element) []element.Element {
 	if len(elems) == 0 {
 		return elems

@@ -341,39 +341,37 @@ func TestReplayAfterManyTrimsWrapsRing(t *testing.T) {
 	}
 }
 
-// TestConcurrentPublishAckSubscribe hammers one output queue from
-// publisher, acker and subscription-churn goroutines at once. Run under
+// TestConcurrentPublishAckSubscribe hammers one output queue from its
+// publisher, an acker and a subscription-churn goroutine at once. Run under
 // -race it checks the lock discipline of the ring buffer and the immutable
 // fan-out snapshot; the final invariant checks nothing retained was lost.
+// There is one publisher because Publish is single-publisher by contract.
 func TestConcurrentPublishAckSubscribe(t *testing.T) {
 	s := newCaptureSender()
 	o := NewOutput("st", s.send)
 	o.Subscribe("a", "in", true)
 
 	const (
-		publishers = 4
-		batches    = 200
-		batchLen   = 5
+		batches  = 800
+		batchLen = 5
 	)
 	var wg sync.WaitGroup
 	var published atomic.Uint64
 
-	for p := 0; p < publishers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < batches; i++ {
-				o.Publish(elems(batchLen))
-				published.Add(batchLen)
-			}
-		}()
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < batches; i++ {
+			o.Publish(elems(batchLen))
+			published.Add(batchLen)
+		}
+	}()
 	// Acker: chases the published head so trims run concurrently with
 	// publishes.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < publishers*batches; i++ {
+		for i := 0; i < batches; i++ {
 			head := published.Load()
 			if head > batchLen {
 				o.Ack("a", head-batchLen)

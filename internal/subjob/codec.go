@@ -1,7 +1,11 @@
 // Binary snapshot codec: the checkpoint-path counterpart of the transport
 // package's wire codec. Snapshots and deltas are serialized in a single
-// append pass into a buffer pre-sized by an exact length computation, so
-// steady-state encoding into a recycled buffer performs no allocation.
+// append pass into a buffer pre-sized by an exact length computation, so a
+// checkpoint's encoded payload is its one allocation. Decoding aliases:
+// every decoded PE state or patch is a capacity-clipped sub-slice of the
+// payload, which must therefore stay unmodified for as long as the decoded
+// value is in use (Snapshot.ApplyDelta copies a PE state before it first
+// patches it in place).
 //
 // Layout (all integers LEB128 uvarints unless noted):
 //
@@ -121,7 +125,7 @@ func (s *Snapshot) EncodedSize() int {
 }
 
 // AppendTo appends the snapshot's binary encoding to dst and returns the
-// extended slice. With a recycled buffer of sufficient capacity the encode
+// extended slice. With dst's capacity at EncodedSize or more the encode
 // allocates nothing.
 func (s *Snapshot) AppendTo(dst []byte) []byte {
 	dst = append(dst, snapMagic...)
@@ -306,16 +310,16 @@ func (r *creader) take(n uint64) []byte {
 
 func (r *creader) str() string { return string(r.take(r.uvarint())) }
 
+// bytes returns a length-prefixed field as a sub-slice of the payload,
+// its capacity clipped so that growing it can never write into the bytes
+// that follow.
 func (r *creader) bytes() []byte {
 	n := r.uvarint()
 	if n == 0 {
 		return nil
 	}
 	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+	return b[:len(b):len(b)]
 }
 
 func (r *creader) consumed() map[string]uint64 {

@@ -63,12 +63,15 @@ func (d *Delta) ElementUnits() int {
 	return n
 }
 
-// ApplyDelta folds a delta into a full snapshot image in place: patched PE
-// states, replaced pipes/input, and an advanced output window. The
-// snapshot takes ownership of the delta's slices. Chain validity (PrevSeq)
-// is the caller's responsibility; shape mismatches and non-contiguous
-// output deltas fail without guaranteeing an unmodified snapshot, so
-// callers must discard the image on error.
+// ApplyDelta folds a delta into a full snapshot image: patched PE states,
+// replaced pipes/input, and an advanced output window. The snapshot keeps
+// the delta's slices, which for a decoded delta alias its payload, and
+// never writes through a PE state it did not allocate: the first patch of
+// a PE state copies it, later patches of that copy are in place, and a
+// full replacement from the delta is again foreign memory. Chain validity
+// (PrevSeq) is the caller's responsibility; shape mismatches and
+// non-contiguous output deltas fail without guaranteeing an unmodified
+// snapshot, so callers must discard the image on error.
 func (s *Snapshot) ApplyDelta(d *Delta) error {
 	if d.SubjobID != s.SubjobID {
 		return fmt.Errorf("subjob: delta for %q folded into snapshot of %q", d.SubjobID, s.SubjobID)
@@ -79,11 +82,19 @@ func (s *Snapshot) ApplyDelta(d *Delta) error {
 	if len(d.Pipes) != len(s.Pipes) || len(d.PipeSet) != len(s.Pipes) {
 		return fmt.Errorf("subjob: delta covers %d pipes, snapshot has %d", len(d.Pipes), len(s.Pipes))
 	}
+	if s.owned == nil {
+		s.owned = make([]bool, len(s.PEStates))
+	}
 	for i := range d.PEFull {
 		switch {
 		case d.PEFull[i] != nil:
 			s.PEStates[i] = d.PEFull[i]
+			s.owned[i] = false
 		case d.PEDeltas[i] != nil:
+			if !s.owned[i] {
+				s.PEStates[i] = append([]byte(nil), s.PEStates[i]...)
+				s.owned[i] = true
+			}
 			patched, err := pe.ApplyPatch(s.PEStates[i], d.PEDeltas[i])
 			if err != nil {
 				return fmt.Errorf("subjob: fold PE %d delta: %w", i, err)

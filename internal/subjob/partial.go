@@ -69,7 +69,7 @@ func (p *Partial) EncodedSize() int {
 }
 
 // AppendTo appends the partial's binary encoding to dst and returns the
-// extended slice. With a recycled buffer of sufficient capacity the encode
+// extended slice. With dst's capacity at EncodedSize or more the encode
 // allocates nothing.
 func (p *Partial) AppendTo(dst []byte) []byte {
 	dst = append(dst, partialMagic...)

@@ -69,11 +69,24 @@ type Runtime struct {
 	// restore.
 	opMu sync.Mutex
 
+	// ackStreams maps each input stream to its owner's acknowledgment
+	// stream name, built once so acks do not rebuild it per message.
+	ackStreams map[string]string
+
 	mu        sync.Mutex
 	suspended bool
 	started   bool
 	stopped   bool
 	senders   map[string]map[transport.NodeID]time.Time
+
+	// spares[i] stacks the dead PE-state buffers handed back through
+	// ReleaseSnapshot for PE i, if its logic is a pe.SnapshotRecycler;
+	// Snapshot offers one to the logic before each capture. A buffer joins
+	// the stack only after a capture that found it empty allocated one, so
+	// the stack never outgrows the snapshots alive at once (a checkpoint
+	// manager's in-flight bound plus one).
+	spareMu sync.Mutex
+	spares  [][][]byte
 }
 
 // New assembles a subjob copy on m. If startSuspended is true the copy's
@@ -88,11 +101,16 @@ func New(spec Spec, m *machine.Machine, startSuspended bool) (*Runtime, error) {
 		spec.BatchSize = 64
 	}
 	r := &Runtime{
-		spec:      spec,
-		m:         m,
-		in:        queue.NewInput(spec.InStreams...),
-		suspended: startSuspended,
-		senders:   make(map[string]map[transport.NodeID]time.Time),
+		spec:       spec,
+		m:          m,
+		in:         queue.NewInput(spec.InStreams...),
+		suspended:  startSuspended,
+		senders:    make(map[string]map[transport.NodeID]time.Time),
+		ackStreams: make(map[string]string, len(spec.InStreams)),
+		spares:     make([][][]byte, len(spec.PEs)),
+	}
+	for _, s := range spec.InStreams {
+		r.ackStreams[s] = AckStream(spec.Owners[s], s)
 	}
 	r.out = queue.NewOutput(spec.OutStream, func(to transport.NodeID, msg transport.Message) {
 		m.Send(to, msg)
@@ -303,7 +321,8 @@ func (r *Runtime) ResumeAll() {
 }
 
 // Snapshot captures the copy's checkpointable state. The copy must be
-// paused (or suspended).
+// paused (or suspended). A logic that recycles snapshot buffers is first
+// offered one handed back through ReleaseSnapshot.
 func (r *Runtime) Snapshot() *Snapshot {
 	s := &Snapshot{
 		SubjobID: r.spec.ID,
@@ -313,13 +332,49 @@ func (r *Runtime) Snapshot() *Snapshot {
 		Output:   r.out.Snapshot(),
 	}
 	for i, p := range r.pes {
-		s.PEStates[i] = p.Logic().Snapshot()
-		s.StateUnits += p.Logic().StateSize()
+		logic := p.Logic()
+		if rec, ok := logic.(pe.SnapshotRecycler); ok {
+			if buf := r.takeSpare(i); buf != nil {
+				rec.RecycleSnapshot(buf)
+			}
+		}
+		s.PEStates[i] = logic.Snapshot()
+		s.StateUnits += logic.StateSize()
 	}
 	for i, pp := range r.pipes {
 		s.Pipes[i] = pp.Snapshot()
 	}
 	return s
+}
+
+func (r *Runtime) takeSpare(i int) []byte {
+	r.spareMu.Lock()
+	defer r.spareMu.Unlock()
+	n := len(r.spares[i])
+	if n == 0 {
+		return nil
+	}
+	buf := r.spares[i][n-1]
+	r.spares[i][n-1] = nil
+	r.spares[i] = r.spares[i][:n-1]
+	return buf
+}
+
+// ReleaseSnapshot hands the PE-state buffers of a snapshot this copy
+// captured back for reuse by a later capture. The caller must hold the
+// only reference to s and be done reading it — the checkpoint shipper
+// calls it once the snapshot is encoded — and must not touch s.PEStates
+// afterwards. A snapshot that is never released just costs the next
+// capture an allocation.
+func (r *Runtime) ReleaseSnapshot(s *Snapshot) {
+	r.spareMu.Lock()
+	defer r.spareMu.Unlock()
+	for i, st := range s.PEStates {
+		if _, ok := r.pes[i].Logic().(pe.SnapshotRecycler); ok && cap(st) > 0 {
+			r.spares[i] = append(r.spares[i], st)
+		}
+		s.PEStates[i] = nil
+	}
 }
 
 // Restore overwrites the copy's state from a snapshot. The copy must be
@@ -652,8 +707,7 @@ func (r *Runtime) noteSender(logical string, node transport.NodeID) {
 // ackTargets returns the current acknowledgment destinations for logical:
 // every copy of the owning subjob that delivered data recently.
 func (r *Runtime) ackTargets(logical string) []AckTarget {
-	owner := r.spec.Owners[logical]
-	stream := AckStream(owner, logical)
+	stream := r.ackStreams[logical]
 	now := r.m.Clock().Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()

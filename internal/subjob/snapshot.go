@@ -35,6 +35,12 @@ type Snapshot struct {
 	Output queue.OutputSnapshot
 	// StateUnits is the total internal-state size in element-equivalents.
 	StateUnits int
+
+	// owned[i] records that PEStates[i] is private memory ApplyDelta may
+	// patch in place. A decoded snapshot's PE states alias the payload it
+	// was decoded from, which the store, the catalog and the sender still
+	// read, so nothing is owned until ApplyDelta has copied it.
+	owned []bool
 }
 
 // ElementUnits returns the snapshot's size in data-element equivalents,
