@@ -161,6 +161,64 @@ func TestSinkRecordsDelaysAndAcks(t *testing.T) {
 	}
 }
 
+// TestSinkAcksAddedInput checks that a stream attached by AddInput is
+// acknowledged on its own owner's ack stream: the name is built when the
+// input is registered, not when the ack is sent.
+func TestSinkAcksAddedInput(t *testing.T) {
+	cl := New(Config{})
+	defer cl.Close()
+	sinkM := cl.MustAddMachine("sink")
+	upM := cl.MustAddMachine("up-copy")
+
+	sink := NewSink(SinkConfig{
+		Machine:     sinkM,
+		Clock:       cl.Clock(),
+		ID:          "j/sink",
+		InStreams:   []string{"s1"},
+		Owners:      map[string]string{"s1": "j/sj0"},
+		AckInterval: 2 * time.Millisecond,
+	})
+	sink.AddInput("s2", "j/sj0#1")
+	sink.Start()
+	defer sink.Stop()
+
+	type ack struct {
+		stream string
+		seq    uint64
+	}
+	acks := make(chan ack, 64) // a full buffer drops acks; every tick repeats them
+	for _, stream := range []string{subjob.AckStream("j/sj0", "s1"), subjob.AckStream("j/sj0#1", "s2")} {
+		upM.RegisterStream(stream, func(_ transport.NodeID, msg transport.Message) {
+			select {
+			case acks <- ack{stream, msg.Seq}:
+			default:
+			}
+		})
+	}
+	upM.Send(sinkM.ID(), transport.Message{
+		Kind:     transport.KindData,
+		Stream:   subjob.DataStream("j/sink", "s1"),
+		Elements: []element.Element{{ID: 1, Seq: 1}},
+	})
+	upM.Send(sinkM.ID(), transport.Message{
+		Kind:     transport.KindData,
+		Stream:   subjob.DataStream("j/sink", "s2"),
+		Elements: []element.Element{{ID: 2, Seq: 1}, {ID: 3, Seq: 2}},
+	})
+	want := map[string]uint64{subjob.AckStream("j/sj0", "s1"): 1, subjob.AckStream("j/sj0#1", "s2"): 2}
+	timeout := time.After(2 * time.Second)
+	for len(want) > 0 {
+		select {
+		case a := <-acks:
+			if seq, ok := want[a.stream]; ok && a.seq == seq {
+				delete(want, a.stream)
+			}
+		case <-timeout:
+			t.Fatalf("no ack for %v", want)
+		}
+	}
+}
+
 func TestSinkDeduplicatesReplicaDelivery(t *testing.T) {
 	cl := New(Config{})
 	defer cl.Close()

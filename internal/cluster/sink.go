@@ -44,15 +44,30 @@ type Sink struct {
 	cfg SinkConfig
 	in  *queue.Input
 
-	mu        sync.Mutex
-	senders   map[string]map[transport.NodeID]time.Time
-	consumed  map[string]uint64
-	ids       map[uint64]int
-	received  uint64
-	onArrival func(e element.Element, at time.Time)
-	started   bool
-	stop      chan struct{}
-	done      chan struct{}
+	mu       sync.Mutex
+	senders  map[string]map[transport.NodeID]time.Time
+	consumed map[string]uint64
+	// ackStreams maps each input stream to its owner's acknowledgment
+	// stream name, built once when the input is registered.
+	ackStreams map[string]string
+	ids        map[uint64]int
+	received   uint64
+	onArrival  func(e element.Element, at time.Time)
+	started    bool
+	stop       chan struct{}
+	done       chan struct{}
+
+	// acks is sendAcks' scratch, reused across ack ticks. It is filled
+	// under mu and read after mu is released, so it belongs to the run
+	// goroutine, sendAcks' only caller.
+	acks []pendingAck
+}
+
+// pendingAck is one acknowledgment sendAcks decided on under the lock.
+type pendingAck struct {
+	node   transport.NodeID
+	stream string
+	seq    uint64
 }
 
 // NewSink creates a sink; call Start to begin consuming.
@@ -64,10 +79,11 @@ func NewSink(cfg SinkConfig) *Sink {
 		cfg.Delays = &metrics.DelayStats{}
 	}
 	s := &Sink{
-		cfg:      cfg,
-		in:       queue.NewInput(cfg.InStreams...),
-		senders:  make(map[string]map[transport.NodeID]time.Time),
-		consumed: make(map[string]uint64),
+		cfg:        cfg,
+		in:         queue.NewInput(cfg.InStreams...),
+		senders:    make(map[string]map[transport.NodeID]time.Time),
+		consumed:   make(map[string]uint64),
+		ackStreams: make(map[string]string, len(cfg.InStreams)),
 	}
 	if cfg.TrackIDs {
 		s.ids = make(map[uint64]int)
@@ -79,6 +95,9 @@ func NewSink(cfg SinkConfig) *Sink {
 }
 
 func (s *Sink) registerInput(logical string) {
+	s.mu.Lock()
+	s.ackStreams[logical] = subjob.AckStream(s.cfg.Owners[logical], logical)
+	s.mu.Unlock()
 	s.cfg.Machine.RegisterStream(subjob.DataStream(s.cfg.ID, logical), func(from transport.NodeID, msg transport.Message) {
 		s.noteSender(logical, from)
 		s.in.Push(logical, msg.Elements)
@@ -271,33 +290,27 @@ func (s *Sink) deliver(ins []queue.In) {
 
 func (s *Sink) sendAcks() {
 	now := s.cfg.Clock.Now()
+	acks := s.acks[:0]
 	s.mu.Lock()
-	positions := make(map[string]uint64, len(s.consumed))
-	for k, v := range s.consumed {
-		positions[k] = v
-	}
-	targets := make(map[string][]subjob.AckTarget, len(s.senders))
 	for logical, byNode := range s.senders {
-		stream := subjob.AckStream(s.cfg.Owners[logical], logical)
+		stream, seq := s.ackStreams[logical], s.consumed[logical]
 		for node, seen := range byNode {
 			if now.Sub(seen) > senderStaleness {
 				delete(byNode, node)
 				continue
 			}
-			targets[logical] = append(targets[logical], subjob.AckTarget{Node: node, Stream: stream})
+			if seq != 0 {
+				acks = append(acks, pendingAck{node: node, stream: stream, seq: seq})
+			}
 		}
 	}
 	s.mu.Unlock()
-	for logical, seq := range positions {
-		if seq == 0 {
-			continue
-		}
-		for _, t := range targets[logical] {
-			s.cfg.Machine.Send(t.Node, transport.Message{
-				Kind:   transport.KindAck,
-				Stream: t.Stream,
-				Seq:    seq,
-			})
-		}
+	for _, a := range acks {
+		s.cfg.Machine.Send(a.node, transport.Message{
+			Kind:   transport.KindAck,
+			Stream: a.stream,
+			Seq:    a.seq,
+		})
 	}
+	s.acks = acks
 }

@@ -24,7 +24,9 @@ const minShare = 0.002
 
 // maxSlice bounds how long Execute sleeps before re-reading the load, so
 // that load changes take effect quickly relative to experiment timescales.
-// It is coarse enough to keep timer-wakeup churn low on small hosts.
+// It is a multiple of the millisecond the Go runtime rounds an idle
+// process's timers up to (see execute), so a slice takes about as long as
+// it asks for and an activity wakes a few hundred times a second at most.
 const maxSlice = 3 * time.Millisecond
 
 // CPU models one machine's processor. Application activities call Execute
@@ -150,11 +152,20 @@ func (c *CPU) execute(work time.Duration, priority bool) {
 		if wall > maxSlice {
 			wall = maxSlice
 		}
+		// This floor is 1.1 ms in practice. When every P is idle the Go
+		// runtime waits for its next timer in epoll_wait, whose timeout is
+		// whole milliseconds (runtime/netpoll_epoll.go rounds a delay under
+		// 1e6 ns up to 1 ms), so on an idle process time.Sleep of 100, 200
+		// or 500 µs all take about 1.1 ms; the kernel's own timer slack is
+		// 50 µs of that. transport.Mem's scheduler stopped waiting on
+		// runtime timers for this reason (transport/wait_linux.go). Execute
+		// deliberately has not: it moves tcp-active and stall-hybrid for a
+		// reason of its own and is left to its own change.
 		if wall < 100*time.Microsecond {
 			wall = 100 * time.Microsecond
 		}
-		// Account the measured sleep, not the requested one: kernel timer
-		// slack routinely overshoots short sleeps, and charging only the
+		// Account the measured sleep, not the requested one: the runtime's
+		// rounding overshoots every short sleep, and charging only the
 		// nominal duration would silently inflate every cost in the model.
 		start := c.clk.Now()
 		c.clk.Sleep(wall)

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -193,9 +194,28 @@ func TestWheelStressFIFO(t *testing.T) {
 
 // TestLatencyFIFOManySenders is the per-pair FIFO contract under the
 // timing wheel with concurrent senders, the workload the wheel shards.
+// The burst case keeps the wheel full; the paced case lets it run empty
+// again and again while senders are still coming, which is where a
+// scheduler that parks on an empty wheel and ignores sends while it waits
+// for a tick could lose a wake-up (seen as a delivery that never comes).
 // Run with -race in CI.
 func TestLatencyFIFOManySenders(t *testing.T) {
-	net := NewMem(MemConfig{Latency: 300 * time.Microsecond})
+	for _, tc := range []struct {
+		name    string
+		latency time.Duration
+		pause   time.Duration // upper bound of a sender's pause every 10 sends
+	}{
+		{"burst-300us", 300 * time.Microsecond, 0},
+		{"paced-200us", 200 * time.Microsecond, 600 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testLatencyFIFOManySenders(t, tc.latency, tc.pause)
+		})
+	}
+}
+
+func testLatencyFIFOManySenders(t *testing.T, latency, pause time.Duration) {
+	net := NewMem(MemConfig{Latency: latency})
 	defer net.Close()
 
 	type rec struct {
@@ -225,12 +245,16 @@ func TestLatencyFIFOManySenders(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func() {
+		go func(s int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(s)))
 			for i := 1; i <= perSender; i++ {
 				_ = ep.Send("dst", Message{Kind: KindAck, Seq: uint64(i)})
+				if pause > 0 && i%10 == 0 {
+					time.Sleep(time.Duration(rng.Int63n(int64(pause))))
+				}
 			}
-		}()
+		}(s)
 	}
 	wg.Wait()
 	deadline := time.Now().Add(5 * time.Second)
