@@ -1,8 +1,8 @@
-// Package checkpoint implements the checkpoint managers of the paper:
-// sweeping checkpointing (Section III, adopted from the authors' earlier
-// work), plus the synchronous and individual variants it is compared
-// against, and the state stores that hold checkpoints on secondary
-// machines.
+// Package checkpoint implements the checkpoint manager of the paper in its
+// three variants — sweeping checkpointing (Section III, adopted from the
+// authors' earlier work) and the synchronous and individual variants it is
+// compared against, one manager core with a trigger and a capture plan
+// each — and the state stores that hold checkpoints on secondary machines.
 //
 // A checkpoint manager drives one subjob copy's pause → capture → resume
 // cycle and hands the captured state to a background shipper that charges
@@ -134,15 +134,24 @@ type Manager interface {
 	Stats() ManagerStats
 }
 
-// Sweeping is the sweeping checkpoint manager: a checkpoint is taken
-// immediately after the subjob's output queue is trimmed, with the
-// interval timer as a fallback seed. Snapshots exclude the input queue.
-type Sweeping struct {
-	cfg  Config
-	trig chan struct{}
-	stop chan struct{}
-	done chan struct{}
-	ship *shipper
+// Core is the one checkpoint manager behind the paper's three variants. It
+// owns everything they share: start/stop and the runtime's two hooks, the
+// capture → sequence → shipper hand-off, the pending-ack window, the
+// full/delta/partial cadence, pause/resume and the statistics. A variant
+// supplies only what Section III varies — a trigger (what fires a
+// checkpoint) and a capture plan (what one checkpoint holds); see
+// variants.go.
+type Core struct {
+	cfg     Config
+	trigger trigger
+	plan    capturePlan
+	// trig carries trim events to the loop; one deep, so trims during a
+	// capture collapse into one follow-up checkpoint.
+	trig     chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
+	ship     *shipper
 
 	// capMu serializes capture → sequence assignment → shipper handoff, so
 	// checkpoints enter the shipper in sequence order (the delta chain the
@@ -151,8 +160,9 @@ type Sweeping struct {
 
 	mu          sync.Mutex
 	seq         uint64
-	pending     map[uint64]map[string]uint64 // checkpoint seq -> consumed positions
+	pending     map[uint64]map[string]uint64 // checkpoint seq -> positions to release upstream
 	taken       int
+	byCause     [numCauses]int
 	pauseTotal  time.Duration
 	lastUnits   int
 	unitsTotal  int64
@@ -163,13 +173,22 @@ type Sweeping struct {
 	started     bool
 }
 
-var _ Manager = (*Sweeping)(nil)
+// cause is what initiated a checkpoint, counted for ManagerStats.
+type cause int
 
-// NewSweeping creates a sweeping manager for cfg.
-func NewSweeping(cfg Config) *Sweeping {
+const (
+	byCall  cause = iota // an explicit CheckpointNow
+	byTrim               // the output queue's trim hook
+	byTimer              // the interval timer or ticker
+	numCauses
+)
+
+func newCore(cfg Config, t trigger, p capturePlan) *Core {
 	cfg.Costs = cfg.Costs.orDefault()
-	return &Sweeping{
+	return &Core{
 		cfg:     cfg,
+		trigger: t,
+		plan:    p,
 		seq:     cfg.SeqBase,
 		trig:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -179,60 +198,102 @@ func NewSweeping(cfg Config) *Sweeping {
 	}
 }
 
-// Start implements Manager. It hooks the runtime's trim events and the
-// checkpoint-ack stream, then launches the checkpoint loop.
-func (s *Sweeping) Start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
+// hooks records which started manager owns each runtime's hooks: the output
+// queue's trim callback and the machine's store-ack handler. Both are keyed
+// by subjob, not by manager, and a re-arm starts the successor on the live
+// primary runtime while the predecessor's Stop may still be in flight — so
+// Stop may not clear them by name. It releases them only while its manager
+// is still the recorded owner; a later Start has taken both over.
+var hooks = struct {
+	sync.Mutex
+	owner map[*subjob.Runtime]*Core
+}{owner: make(map[*subjob.Runtime]*Core)}
+
+// Start implements Manager. It takes over the runtime's store-ack handler
+// (and, trim-triggered, its trim hook), then launches the trigger loop.
+func (m *Core) Start() {
+	m.mu.Lock()
+	if m.started {
+		m.mu.Unlock()
 		return
 	}
-	s.started = true
-	s.mu.Unlock()
+	m.started = true
+	m.mu.Unlock()
 
-	rt := s.cfg.Runtime
-	rt.Out().SetOnTrim(func() {
-		select {
-		case s.trig <- struct{}{}:
-		default:
+	rt := m.cfg.Runtime
+	hooks.Lock()
+	hooks.owner[rt] = m
+	if m.trigger == onTrim {
+		rt.Out().SetOnTrim(func() {
+			select {
+			case m.trig <- struct{}{}:
+			default:
+			}
+		})
+	}
+	rt.Machine().RegisterStream(subjob.CkptAckStream(rt.Spec().ID), m.onStoreAck)
+	hooks.Unlock()
+	go m.run()
+}
+
+// Stop implements Manager: it waits for the trigger loop and the shipper,
+// then releases the runtime's hooks if this manager still owns them.
+func (m *Core) Stop() {
+	m.mu.Lock()
+	started := m.started
+	m.mu.Unlock()
+	if started {
+		m.stopOnce.Do(func() { close(m.stop) })
+		<-m.done
+	}
+	m.ship.stopWait()
+
+	rt := m.cfg.Runtime
+	hooks.Lock()
+	defer hooks.Unlock()
+	if hooks.owner[rt] != m {
+		return
+	}
+	delete(hooks.owner, rt)
+	if m.trigger == onTrim {
+		rt.Out().SetOnTrim(nil)
+	}
+	rt.Machine().UnregisterStream(subjob.CkptAckStream(rt.Spec().ID))
+}
+
+// run is the trigger loop.
+func (m *Core) run() {
+	defer close(m.done)
+	if m.trigger == onTrim {
+		// The interval timer is a fallback seed: a trim-triggered checkpoint
+		// resets it, so the sweep cascade does not double up with the timer.
+		for {
+			select {
+			case <-m.stop:
+				return
+			case <-m.trig:
+				m.capture(0, byTrim)
+			case <-m.cfg.Clock.After(m.cfg.Interval):
+				m.capture(0, byTimer)
+			}
 		}
-	})
-	rt.Machine().RegisterStream(subjob.CkptAckStream(rt.Spec().ID), s.onStoreAck)
-	go s.run()
-}
-
-// Stop implements Manager.
-func (s *Sweeping) Stop() {
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	if !started {
-		s.ship.stopWait()
-		return
 	}
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	<-s.done
-	s.ship.stopWait()
-	s.cfg.Runtime.Out().SetOnTrim(nil)
-	s.cfg.Runtime.Machine().UnregisterStream(subjob.CkptAckStream(s.cfg.Runtime.Spec().ID))
-}
-
-func (s *Sweeping) run() {
-	defer close(s.done)
-	// The interval timer is a fallback seed: a trim-triggered checkpoint
-	// resets it, so the sweep cascade does not double up with the timer.
-	for {
-		select {
-		case <-s.stop:
+	// Independent per-PE timers are modeled as a single loop firing n
+	// evenly-phased sub-ticks per interval, each checkpointing one PE.
+	n := 1
+	if m.trigger == onPETick {
+		if n = len(m.cfg.Runtime.PEs()); n == 0 {
 			return
-		case <-s.trig:
-			s.CheckpointNow()
-		case <-s.cfg.Clock.After(s.cfg.Interval):
-			s.CheckpointNow()
+		}
+	}
+	t := m.cfg.Clock.NewTicker(m.cfg.Interval / time.Duration(n))
+	defer t.Stop()
+	for i := 0; ; i++ {
+		select {
+		case <-m.stop:
+			return
+		case <-t.C():
+			m.capture(i%n, byTimer)
 		}
 	}
 }
@@ -246,179 +307,161 @@ const adaptivePendingLimit = 8
 // exists, the manual cadence has not come due, and the store is keeping up
 // (a growing pending window means deltas are being dropped — likely an
 // unfoldable chain — so rebase with a full). The adaptive policy's byte
-// check lives on the shipper (see shipper.rebaseDue), which the callers
-// consult after this.
-func wantDeltaLocked(cfg *Config, sinceFull int, lastOutNext uint64, pending int) bool {
-	if lastOutNext == 0 {
+// check lives on the shipper (see shipper.rebaseDue), which capture
+// consults after this.
+func (m *Core) wantDeltaLocked() bool {
+	if m.lastOutNext == 0 {
 		return false
 	}
-	manual := cfg.RebaseEvery >= 2
-	if !manual && !cfg.RebaseAdaptive {
+	manual := m.cfg.RebaseEvery >= 2
+	if !manual && !m.cfg.RebaseAdaptive {
 		return false
 	}
-	if manual && sinceFull >= cfg.RebaseEvery-1 {
+	if manual && m.sinceFull >= m.cfg.RebaseEvery-1 {
 		return false
 	}
 	limit := adaptivePendingLimit
 	if manual {
-		limit = cfg.RebaseEvery * 2
+		limit = m.cfg.RebaseEvery * 2
 	}
-	return pending <= limit
+	return len(m.pending) <= limit
 }
 
-// CheckpointNow implements Manager: pause, capture (without the input
-// queue), resume, then hand off to the background shipper. The upstream
+// CheckpointNow implements Manager. The individual variant checkpoints its
+// first PE.
+func (m *Core) CheckpointNow() time.Duration { return m.capture(0, byCall) }
+
+// capture takes one checkpoint: pause, run the variant's capture plan for
+// target, resume, then hand off to the background shipper. The upstream
 // acknowledgment is deferred until the store confirms.
-func (s *Sweeping) CheckpointNow() time.Duration {
-	rt := s.cfg.Runtime
+func (m *Core) capture(target int, by cause) time.Duration {
+	rt := m.cfg.Runtime
 	if rt.Machine().Crashed() {
 		return 0
 	}
-	s.capMu.Lock()
-	defer s.capMu.Unlock()
+	m.capMu.Lock()
+	defer m.capMu.Unlock()
 
-	s.mu.Lock()
-	if s.paused {
-		s.mu.Unlock()
+	m.mu.Lock()
+	if m.paused {
+		m.mu.Unlock()
 		return 0
 	}
 	// The first capture in partial mode is still a full snapshot: it seeds
 	// the standby's baseline image that later hot-range frames patch.
-	tryPartial := s.cfg.Partial && !s.fullNext && s.lastOutNext != 0
-	tryDelta := !s.cfg.Partial && !s.fullNext &&
-		wantDeltaLocked(&s.cfg, s.sinceFull, s.lastOutNext, len(s.pending))
-	s.fullNext = false
-	outSince := s.lastOutNext
-	s.mu.Unlock()
-	if tryDelta && s.cfg.RebaseAdaptive && s.ship.rebaseDue() {
-		tryDelta = false
+	w := want{
+		partial:  m.cfg.Partial && !m.fullNext && m.lastOutNext != 0,
+		delta:    !m.cfg.Partial && !m.fullNext && m.wantDeltaLocked(),
+		outSince: m.lastOutNext,
+	}
+	m.fullNext = false
+	m.mu.Unlock()
+	if w.delta && m.cfg.RebaseAdaptive && m.ship.rebaseDue() {
+		w.delta = false
 	}
 
-	start := s.cfg.Clock.Now()
-	var snap *subjob.Snapshot
-	var delta *subjob.Delta
-	var part *subjob.Partial
-	rt.WithPaused(func() {
-		switch {
-		case tryPartial:
-			part = rt.CapturePartial()
-		case tryDelta:
-			delta, _ = rt.CaptureDelta(subjob.DeltaOptions{
-				OutputSince:   outSince,
-				IncludeOutput: true,
-				OnlyPE:        -1,
-			})
-		}
-		if part == nil && delta == nil {
-			snap = rt.CaptureFull()
-		}
-	})
-	paused := s.cfg.Clock.Since(start)
+	start := m.cfg.Clock.Now()
+	var j shipJob
+	var ack map[string]uint64
+	rt.WithPaused(func() { j, ack = m.plan.capture(&m.cfg, target, w) })
+	paused := m.cfg.Clock.Since(start)
 
-	var units int
-	var consumed map[string]uint64
-	var outNext uint64
+	m.mu.Lock()
+	m.seq++
+	j.seq = m.seq
 	switch {
-	case part != nil:
-		units = part.ElementUnits()
-		consumed = part.Consumed
-		outNext = part.OutNext
-	case delta != nil:
-		units = delta.ElementUnits()
-		consumed = delta.Consumed
-		outNext = delta.Output.NextSeq
-	default:
-		units = snap.ElementUnits()
-		consumed = snap.Consumed
-		outNext = snap.Output.NextSeq
-	}
-
-	s.mu.Lock()
-	s.seq++
-	seq := s.seq
-	switch {
-	case delta != nil:
-		delta.PrevSeq = seq - 1
-		s.sinceFull++
-	case part != nil:
+	case j.part != nil:
 		// Partials are unchained; they neither extend nor reset the delta
 		// chain bookkeeping.
+		j.units = j.part.ElementUnits()
+		m.lastOutNext = j.part.OutNext
+	case j.delta != nil:
+		j.delta.PrevSeq = j.seq - 1
+		m.sinceFull++
+		j.units = j.delta.ElementUnits()
+		if j.delta.HasOutput { // else one PE's share without the output queue
+			m.lastOutNext = j.delta.Output.NextSeq
+		}
 	default:
-		s.sinceFull = 0
+		m.sinceFull = 0
+		j.units = j.snap.ElementUnits()
+		m.lastOutNext = j.snap.Output.NextSeq
 	}
-	s.lastOutNext = outNext
-	s.pending[seq] = consumed
-	s.taken++
-	s.pauseTotal += paused
-	s.lastUnits = units
-	s.unitsTotal += int64(units)
-	s.mu.Unlock()
+	if ack != nil {
+		m.pending[j.seq] = ack
+	}
+	m.taken++
+	m.byCause[by]++
+	m.pauseTotal += paused
+	m.lastUnits = j.units
+	m.unitsTotal += int64(j.units)
+	m.mu.Unlock()
 
-	s.ship.enqueue(shipJob{seq: seq, snap: snap, delta: delta, part: part, units: units})
+	m.ship.enqueue(j)
 	return paused
 }
 
 // onStoreAck releases the upstream acknowledgment for a stored checkpoint:
 // the data it covers is now recoverable, so upstream may trim it.
-func (s *Sweeping) onStoreAck(_ transport.NodeID, msg transport.Message) {
-	s.mu.Lock()
-	positions, ok := s.pending[msg.Seq]
+func (m *Core) onStoreAck(_ transport.NodeID, msg transport.Message) {
+	m.mu.Lock()
+	positions, ok := m.pending[msg.Seq]
 	if ok {
-		delete(s.pending, msg.Seq)
+		delete(m.pending, msg.Seq)
 		// Older unacked checkpoints are subsumed by this one.
-		for seq := range s.pending {
+		for seq := range m.pending {
 			if seq < msg.Seq {
-				delete(s.pending, seq)
+				delete(m.pending, seq)
 			}
 		}
 	}
-	s.mu.Unlock()
+	m.mu.Unlock()
 	if ok {
-		s.cfg.Runtime.AckUpstream(positions)
+		m.cfg.Runtime.AckUpstream(positions)
 	}
 }
 
 // ForceFull implements Manager.
-func (s *Sweeping) ForceFull() {
-	s.mu.Lock()
-	s.fullNext = true
-	s.mu.Unlock()
+func (m *Core) ForceFull() {
+	m.mu.Lock()
+	m.fullNext = true
+	m.mu.Unlock()
 }
 
 // Pause implements Manager. Taking capMu waits out any in-flight capture,
 // so when Pause returns no manager capture is running or will run.
-func (s *Sweeping) Pause() {
-	s.capMu.Lock()
-	defer s.capMu.Unlock()
-	s.mu.Lock()
-	s.paused = true
-	s.mu.Unlock()
+func (m *Core) Pause() {
+	m.capMu.Lock()
+	defer m.capMu.Unlock()
+	m.mu.Lock()
+	m.paused = true
+	m.mu.Unlock()
 }
 
 // Resume implements Manager: checkpointing restarts with a full snapshot.
-func (s *Sweeping) Resume() {
-	s.mu.Lock()
-	s.paused = false
-	s.fullNext = true
-	s.mu.Unlock()
+func (m *Core) Resume() {
+	m.mu.Lock()
+	m.paused = false
+	m.fullNext = true
+	m.mu.Unlock()
 }
 
 // Taken returns how many checkpoints were initiated, for tests and
 // benchmarks.
-func (s *Sweeping) Taken() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.taken
+func (m *Core) Taken() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.taken
 }
 
 // MeanPause returns the average pause duration per checkpoint.
-func (s *Sweeping) MeanPause() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.taken == 0 {
+func (m *Core) MeanPause() time.Duration {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.taken == 0 {
 		return 0
 	}
-	return s.pauseTotal / time.Duration(s.taken)
+	return m.pauseTotal / time.Duration(m.taken)
 }
 
 // ManagerStats is a JSON-marshalable view of a checkpoint manager's
@@ -426,39 +469,45 @@ func (s *Sweeping) MeanPause() time.Duration {
 // are reported separately — the pause is what tuple latency pays, while
 // encode and ship overlap with processing on the background shipper.
 type ManagerStats struct {
-	Subjob       string  `json:"subjob"`
-	Taken        int     `json:"taken"`
-	Pending      int     `json:"pending_acks"`
-	Fulls        int     `json:"fulls_shipped"`
-	Deltas       int     `json:"deltas_shipped"`
-	Partials     int     `json:"partials_shipped"`
-	MeanPauseMS  float64 `json:"mean_pause_ms"`
-	MeanEncodeMS float64 `json:"mean_encode_ms"`
-	MeanShipMS   float64 `json:"mean_ship_ms"`
-	LastUnits    int     `json:"last_size_units"`
-	TotalUnits   int64   `json:"total_size_units"`
-	BytesFull    int64   `json:"bytes_full"`
-	BytesDelta   int64   `json:"bytes_delta"`
-	BytesPartial int64   `json:"bytes_partial"`
+	Subjob string `json:"subjob"`
+	Taken  int    `json:"taken"`
+	// TrimTriggered and TimerTriggered split Taken by what fired the
+	// checkpoint; the remainder are explicit CheckpointNow calls.
+	TrimTriggered  int     `json:"trim_triggered"`
+	TimerTriggered int     `json:"timer_triggered"`
+	Pending        int     `json:"pending_acks"`
+	Fulls          int     `json:"fulls_shipped"`
+	Deltas         int     `json:"deltas_shipped"`
+	Partials       int     `json:"partials_shipped"`
+	MeanPauseMS    float64 `json:"mean_pause_ms"`
+	MeanEncodeMS   float64 `json:"mean_encode_ms"`
+	MeanShipMS     float64 `json:"mean_ship_ms"`
+	LastUnits      int     `json:"last_size_units"`
+	TotalUnits     int64   `json:"total_size_units"`
+	BytesFull      int64   `json:"bytes_full"`
+	BytesDelta     int64   `json:"bytes_delta"`
+	BytesPartial   int64   `json:"bytes_partial"`
 	// DeltaRatio is mean delta bytes over mean full bytes; small is good.
 	DeltaRatio float64 `json:"delta_ratio"`
 }
 
 // Stats implements Manager: checkpoint counts, pending store acks,
 // pause/encode/ship timings and full-vs-delta shipped volume.
-func (s *Sweeping) Stats() ManagerStats {
-	s.mu.Lock()
+func (m *Core) Stats() ManagerStats {
+	m.mu.Lock()
 	st := ManagerStats{
-		Subjob:     s.cfg.Runtime.Spec().ID,
-		Taken:      s.taken,
-		Pending:    len(s.pending),
-		LastUnits:  s.lastUnits,
-		TotalUnits: s.unitsTotal,
+		Subjob:         m.cfg.Runtime.Spec().ID,
+		Taken:          m.taken,
+		TrimTriggered:  m.byCause[byTrim],
+		TimerTriggered: m.byCause[byTimer],
+		Pending:        len(m.pending),
+		LastUnits:      m.lastUnits,
+		TotalUnits:     m.unitsTotal,
 	}
-	if s.taken > 0 {
-		st.MeanPauseMS = float64(s.pauseTotal) / float64(s.taken) / 1e6
+	if m.taken > 0 {
+		st.MeanPauseMS = float64(m.pauseTotal) / float64(m.taken) / 1e6
 	}
-	s.mu.Unlock()
-	s.ship.statsInto(&st)
+	m.mu.Unlock()
+	m.ship.statsInto(&st)
 	return st
 }

@@ -1,261 +1,47 @@
 package checkpoint
 
-import (
-	"sync"
-	"time"
+import "streamha/internal/subjob"
 
-	"streamha/internal/subjob"
-	"streamha/internal/transport"
+// trigger is what fires a variant's checkpoints; Core.run implements each.
+type trigger int
+
+const (
+	onTrim   trigger = iota // the output queue's trim hook, Clock.After(Interval) as fallback seed
+	onTick                  // one subjob-wide ticker of period Interval
+	onPETick                // a timer per PE: Interval/len(PEs) apart, rotating over the PEs
 )
 
-// Synchronous is the timer-driven checkpointing variant the paper compares
+// capturePlan is what one checkpoint of a variant holds.
+type capturePlan struct {
+	// input: the checkpoint includes the input queue, so the positions it
+	// covers and acknowledges are the queue's accepted positions rather than
+	// what the first PE had consumed.
+	input bool
+	// perPE: a checkpoint holds one PE's share — its logic state and its
+	// outgoing queue (pipe or subjob output), plus for the first PE whatever
+	// input says — and only the first PE's releases an upstream
+	// acknowledgment.
+	perPE bool
+}
+
+// NewSweeping creates the sweeping checkpoint manager: a checkpoint is
+// taken immediately after the subjob's output queue is trimmed, with the
+// interval timer as a fallback seed. Snapshots exclude the input queue.
+func NewSweeping(cfg Config) *Core { return newCore(cfg, onTrim, capturePlan{}) }
+
+// NewSynchronous creates the timer-driven variant the paper compares
 // sweeping checkpointing against: on every interval all PEs of the subjob
 // are suspended and the full state — including the input queue — is
 // captured before they resume. Including the input queue makes messages
 // much larger for PEs that consume more raw data than they derive, which
-// is the overhead the paper's Section III quantifies. Like the other
-// variants, the encode and ship stages run on the background shipper, so
-// the pause covers only the state capture.
-type Synchronous struct {
-	cfg  Config
-	stop chan struct{}
-	done chan struct{}
-	ship *shipper
-
-	capMu sync.Mutex
-
-	mu          sync.Mutex
-	seq         uint64
-	pending     map[uint64]map[string]uint64
-	taken       int
-	pauseTotal  time.Duration
-	lastUnits   int
-	unitsTotal  int64
-	sinceFull   int
-	lastOutNext uint64
-	fullNext    bool
-	paused      bool
-	started     bool
+// is the overhead the paper's Section III quantifies.
+func NewSynchronous(cfg Config) *Core {
+	cfg.Partial = false // bounded-error frames are a sweeping-only mode
+	return newCore(cfg, onTick, capturePlan{input: true})
 }
 
-var _ Manager = (*Synchronous)(nil)
-
-// NewSynchronous creates a synchronous manager for cfg.
-func NewSynchronous(cfg Config) *Synchronous {
-	cfg.Costs = cfg.Costs.orDefault()
-	return &Synchronous{
-		cfg:     cfg,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		ship:    newShipper(cfg),
-		pending: make(map[uint64]map[string]uint64),
-	}
-}
-
-// Start implements Manager.
-func (s *Synchronous) Start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	s.mu.Unlock()
-	rt := s.cfg.Runtime
-	rt.Machine().RegisterStream(subjob.CkptAckStream(rt.Spec().ID), s.onStoreAck)
-	go s.run()
-}
-
-// Stop implements Manager.
-func (s *Synchronous) Stop() {
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	if !started {
-		s.ship.stopWait()
-		return
-	}
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	<-s.done
-	s.ship.stopWait()
-	s.cfg.Runtime.Machine().UnregisterStream(subjob.CkptAckStream(s.cfg.Runtime.Spec().ID))
-}
-
-func (s *Synchronous) run() {
-	defer close(s.done)
-	t := s.cfg.Clock.NewTicker(s.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C():
-			s.CheckpointNow()
-		}
-	}
-}
-
-// CheckpointNow implements Manager. The pause covers the state capture
-// including the input queue; the acknowledged positions are the input
-// queue's accepted positions, since the input queue itself is part of the
-// checkpoint.
-func (s *Synchronous) CheckpointNow() time.Duration {
-	rt := s.cfg.Runtime
-	if rt.Machine().Crashed() {
-		return 0
-	}
-	s.capMu.Lock()
-	defer s.capMu.Unlock()
-
-	s.mu.Lock()
-	if s.paused {
-		s.mu.Unlock()
-		return 0
-	}
-	tryDelta := !s.fullNext && wantDeltaLocked(&s.cfg, s.sinceFull, s.lastOutNext, len(s.pending))
-	s.fullNext = false
-	outSince := s.lastOutNext
-	s.mu.Unlock()
-	if tryDelta && s.cfg.RebaseAdaptive && s.ship.rebaseDue() {
-		tryDelta = false
-	}
-
-	start := s.cfg.Clock.Now()
-	var snap *subjob.Snapshot
-	var delta *subjob.Delta
-	var accepted map[string]uint64
-	rt.WithPaused(func() {
-		if tryDelta {
-			delta, _ = rt.CaptureDelta(subjob.DeltaOptions{
-				OutputSince:   outSince,
-				IncludeOutput: true,
-				IncludeInput:  true,
-				OnlyPE:        -1,
-			})
-		}
-		if delta == nil {
-			snap = rt.CaptureFull()
-			snap.Input = rt.In().SnapshotBuf()
-		}
-		accepted = rt.In().AcceptedAll()
-	})
-	paused := s.cfg.Clock.Since(start)
-
-	var units int
-	var outNext uint64
-	if delta != nil {
-		delta.Consumed = accepted
-		units = delta.ElementUnits()
-		outNext = delta.Output.NextSeq
-	} else {
-		snap.Consumed = accepted
-		units = snap.ElementUnits()
-		outNext = snap.Output.NextSeq
-	}
-
-	s.mu.Lock()
-	s.seq++
-	seq := s.seq
-	if delta != nil {
-		delta.PrevSeq = seq - 1
-		s.sinceFull++
-	} else {
-		s.sinceFull = 0
-	}
-	s.lastOutNext = outNext
-	s.pending[seq] = accepted
-	s.taken++
-	s.pauseTotal += paused
-	s.lastUnits = units
-	s.unitsTotal += int64(units)
-	s.mu.Unlock()
-
-	s.ship.enqueue(shipJob{seq: seq, snap: snap, delta: delta, units: units})
-	return paused
-}
-
-func (s *Synchronous) onStoreAck(_ transport.NodeID, msg transport.Message) {
-	s.mu.Lock()
-	positions, ok := s.pending[msg.Seq]
-	if ok {
-		delete(s.pending, msg.Seq)
-		for seq := range s.pending {
-			if seq < msg.Seq {
-				delete(s.pending, seq)
-			}
-		}
-	}
-	s.mu.Unlock()
-	if ok {
-		s.cfg.Runtime.AckUpstream(positions)
-	}
-}
-
-// ForceFull implements Manager.
-func (s *Synchronous) ForceFull() {
-	s.mu.Lock()
-	s.fullNext = true
-	s.mu.Unlock()
-}
-
-// Pause implements Manager (see the interface comment).
-func (s *Synchronous) Pause() {
-	s.capMu.Lock()
-	defer s.capMu.Unlock()
-	s.mu.Lock()
-	s.paused = true
-	s.mu.Unlock()
-}
-
-// Resume implements Manager: checkpointing restarts with a full snapshot.
-func (s *Synchronous) Resume() {
-	s.mu.Lock()
-	s.paused = false
-	s.fullNext = true
-	s.mu.Unlock()
-}
-
-// Taken returns how many checkpoints were initiated.
-func (s *Synchronous) Taken() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.taken
-}
-
-// MeanPause returns the average pause duration per checkpoint.
-func (s *Synchronous) MeanPause() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.taken == 0 {
-		return 0
-	}
-	return s.pauseTotal / time.Duration(s.taken)
-}
-
-// Stats implements Manager.
-func (s *Synchronous) Stats() ManagerStats {
-	s.mu.Lock()
-	st := ManagerStats{
-		Subjob:     s.cfg.Runtime.Spec().ID,
-		Taken:      s.taken,
-		Pending:    len(s.pending),
-		LastUnits:  s.lastUnits,
-		TotalUnits: s.unitsTotal,
-	}
-	if s.taken > 0 {
-		st.MeanPauseMS = float64(s.pauseTotal) / float64(s.taken) / 1e6
-	}
-	s.mu.Unlock()
-	s.ship.statsInto(&st)
-	return st
-}
-
-// Individual is the per-PE-timer checkpointing variant: every PE has its
-// own timer and is checkpointed independently. Each cycle still captures a
+// NewIndividual creates the per-PE-timer variant: every PE has its own
+// timer and is checkpointed independently. Each cycle still captures a
 // consistent view of the owning subjob copy (pausing only briefly), but
 // one message is sent per PE per interval and each message carries the
 // PE's share of queue state plus the input queue for the first PE — more,
@@ -263,297 +49,89 @@ func (s *Synchronous) Stats() ManagerStats {
 // RebaseEvery ≥ 2, per-PE messages become per-PE deltas between
 // whole-subjob full rebases; each PE's change tracking is reset only on
 // its own turn, so the rotation's per-PE chains fold correctly.
-type Individual struct {
-	cfg  Config
-	stop chan struct{}
-	done chan struct{}
-	ship *shipper
-
-	capMu sync.Mutex
-
-	mu          sync.Mutex
-	seq         uint64
-	pending     map[uint64]map[string]uint64
-	taken       int
-	pauseTotal  time.Duration
-	lastUnits   int
-	unitsTotal  int64
-	sinceFull   int
-	lastOutNext uint64
-	fullNext    bool
-	paused      bool
-	started     bool
+func NewIndividual(cfg Config) *Core {
+	cfg.Partial = false // bounded-error frames are a sweeping-only mode
+	return newCore(cfg, onPETick, capturePlan{input: true, perPE: true})
 }
 
-var _ Manager = (*Individual)(nil)
-
-// NewIndividual creates an individual-timer manager for cfg.
-func NewIndividual(cfg Config) *Individual {
-	cfg.Costs = cfg.Costs.orDefault()
-	return &Individual{
-		cfg:     cfg,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		ship:    newShipper(cfg),
-		pending: make(map[uint64]map[string]uint64),
-	}
+// want is what the core's cadence asks of one capture: a partial frame, a
+// delta against the previous checkpoint (whose output queue ended at
+// outSince), or — neither set, or the delta not expressible — a full
+// snapshot.
+type want struct {
+	partial  bool
+	delta    bool
+	outSince uint64
 }
 
-// Start implements Manager: one timer goroutine per PE, with offset phases
-// like independent timers would have.
-func (ind *Individual) Start() {
-	ind.mu.Lock()
-	if ind.started {
-		ind.mu.Unlock()
-		return
+// capture takes what w asks for on PE i's turn (always 0 unless the trigger
+// is onPETick) and returns it as a ship job still lacking its sequence
+// number and size, with the upstream positions to release once the store
+// confirms it; nil registers no pending acknowledgment. The core calls it
+// with every PE parked.
+func (p capturePlan) capture(cfg *Config, i int, w want) (j shipJob, ack map[string]uint64) {
+	rt := cfg.Runtime
+	if w.partial {
+		j.part = rt.CapturePartial()
+		return j, j.part.Consumed
 	}
-	ind.started = true
-	ind.mu.Unlock()
-	rt := ind.cfg.Runtime
-	rt.Machine().RegisterStream(subjob.CkptAckStream(rt.Spec().ID), ind.onStoreAck)
-	go ind.run()
-}
+	// A whole-subjob checkpoint is at once its first and its last PE's.
+	first, last, only := true, true, -1
+	if p.perPE {
+		first, last, only = i == 0, i == len(rt.PEs())-1, i
+	}
+	// Per-PE deltas fold onto the stored image, so an incremental per-PE
+	// chain still rebases with a full snapshot of the whole subjob.
+	whole := !p.perPE || cfg.RebaseEvery >= 2 || cfg.RebaseAdaptive
 
-// Stop implements Manager.
-func (ind *Individual) Stop() {
-	ind.mu.Lock()
-	started := ind.started
-	ind.mu.Unlock()
-	if !started {
-		ind.ship.stopWait()
-		return
+	var consumed *map[string]uint64
+	if w.delta {
+		j.delta, _ = rt.CaptureDelta(subjob.DeltaOptions{
+			OutputSince:   w.outSince,
+			IncludeOutput: last,
+			IncludeInput:  p.input && first,
+			OnlyPE:        only,
+		})
 	}
-	select {
-	case <-ind.stop:
-	default:
-		close(ind.stop)
-	}
-	<-ind.done
-	ind.ship.stopWait()
-	ind.cfg.Runtime.Machine().UnregisterStream(subjob.CkptAckStream(ind.cfg.Runtime.Spec().ID))
-}
-
-func (ind *Individual) run() {
-	defer close(ind.done)
-	n := len(ind.cfg.Runtime.PEs())
-	if n == 0 {
-		return
-	}
-	// Independent per-PE timers are modeled as a single loop firing n
-	// evenly-phased sub-ticks per interval, each checkpointing one PE.
-	sub := ind.cfg.Interval / time.Duration(n)
-	if sub <= 0 {
-		sub = ind.cfg.Interval
-	}
-	t := ind.cfg.Clock.NewTicker(sub)
-	defer t.Stop()
-	i := 0
-	for {
-		select {
-		case <-ind.stop:
-			return
-		case <-t.C():
-			ind.checkpointPE(i % n)
-			i++
-		}
-	}
-}
-
-// CheckpointNow implements Manager by checkpointing the first PE.
-func (ind *Individual) CheckpointNow() time.Duration {
-	return ind.checkpointPE(0)
-}
-
-// checkpointPE captures the state owned by PE i: its logic state, its
-// outgoing queue (pipe or subjob output), and for the first PE also the
-// input queue. Incremental mode replaces this with a per-PE delta, except
-// on the rebase cadence where a whole-subjob full snapshot is shipped.
-func (ind *Individual) checkpointPE(i int) time.Duration {
-	rt := ind.cfg.Runtime
-	if rt.Machine().Crashed() {
-		return 0
-	}
-	ind.capMu.Lock()
-	defer ind.capMu.Unlock()
-	last := i == len(rt.PEs())-1
-
-	ind.mu.Lock()
-	if ind.paused {
-		ind.mu.Unlock()
-		return 0
-	}
-	tryDelta := !ind.fullNext && wantDeltaLocked(&ind.cfg, ind.sinceFull, ind.lastOutNext, len(ind.pending))
-	ind.fullNext = false
-	outSince := ind.lastOutNext
-	ind.mu.Unlock()
-	if tryDelta && ind.cfg.RebaseAdaptive && ind.ship.rebaseDue() {
-		tryDelta = false
-	}
-	incremental := ind.cfg.RebaseEvery >= 2 || ind.cfg.RebaseAdaptive
-
-	start := ind.cfg.Clock.Now()
-	var snap *subjob.Snapshot
-	var delta *subjob.Delta
-	var accepted map[string]uint64
-	rt.WithPaused(func() {
-		if tryDelta {
-			delta, _ = rt.CaptureDelta(subjob.DeltaOptions{
-				OutputSince:   outSince,
-				IncludeOutput: last,
-				IncludeInput:  i == 0,
-				OnlyPE:        i,
-			})
-		}
-		if delta == nil {
-			snap = rt.CaptureFull()
-			if incremental || i == 0 {
-				snap.Input = rt.In().SnapshotBuf()
-			}
-		}
-		if i == 0 || (incremental && delta == nil) {
-			accepted = rt.In().AcceptedAll()
-		}
-	})
-	paused := ind.cfg.Clock.Since(start)
-
-	var units int
-	var outNext uint64
-	if delta != nil {
-		if accepted != nil {
-			delta.Consumed = accepted
-		}
-		units = delta.ElementUnits()
-		if delta.HasOutput {
-			outNext = delta.Output.NextSeq
-		} else {
-			outNext = outSince
-		}
+	if j.delta != nil {
+		consumed = &j.delta.Consumed
 	} else {
-		if accepted != nil {
-			snap.Consumed = accepted
-		}
-		if !incremental {
-			// The classic variant ships only PE i's share: zero out the other
-			// PEs' states and queues. Incremental rebases must instead keep
-			// the whole subjob, since deltas fold onto the stored image.
-			for j := range snap.PEStates {
-				if j != i {
-					snap.PEStates[j] = nil
-				}
-			}
-			keptUnits := 0
-			if i < len(rt.PEs()) {
-				keptUnits = rt.PEs()[i].Logic().StateSize()
-			}
-			snap.StateUnits = keptUnits
-			for j := range snap.Pipes {
-				if j != i {
-					snap.Pipes[j] = nil
-				}
-			}
-			if !last {
-				snap.Output.Buf = nil
-			}
-		}
-		units = snap.ElementUnits()
-		outNext = snap.Output.NextSeq
-	}
-
-	ind.mu.Lock()
-	ind.seq++
-	seq := ind.seq
-	if delta != nil {
-		delta.PrevSeq = seq - 1
-		ind.sinceFull++
-	} else {
-		ind.sinceFull = 0
-	}
-	ind.lastOutNext = outNext
-	if accepted != nil {
-		ind.pending[seq] = accepted
-	}
-	ind.taken++
-	ind.pauseTotal += paused
-	ind.lastUnits = units
-	ind.unitsTotal += int64(units)
-	ind.mu.Unlock()
-
-	ind.ship.enqueue(shipJob{seq: seq, snap: snap, delta: delta, units: units})
-	return paused
-}
-
-func (ind *Individual) onStoreAck(_ transport.NodeID, msg transport.Message) {
-	ind.mu.Lock()
-	positions, ok := ind.pending[msg.Seq]
-	if ok {
-		delete(ind.pending, msg.Seq)
-		for seq := range ind.pending {
-			if seq < msg.Seq {
-				delete(ind.pending, seq)
-			}
+		j.snap = rt.CaptureFull()
+		consumed = &j.snap.Consumed
+		if p.input && (first || whole) {
+			j.snap.Input = rt.In().SnapshotBuf()
 		}
 	}
-	ind.mu.Unlock()
-	if ok {
-		ind.cfg.Runtime.AckUpstream(positions)
+	switch {
+	case !p.input:
+		ack = *consumed
+	case first || j.snap != nil && whole:
+		// The input queue itself is part of the checkpoint.
+		ack = rt.In().AcceptedAll()
+		*consumed = ack
 	}
-}
-
-// ForceFull implements Manager.
-func (ind *Individual) ForceFull() {
-	ind.mu.Lock()
-	ind.fullNext = true
-	ind.mu.Unlock()
-}
-
-// Pause implements Manager (see the interface comment).
-func (ind *Individual) Pause() {
-	ind.capMu.Lock()
-	defer ind.capMu.Unlock()
-	ind.mu.Lock()
-	ind.paused = true
-	ind.mu.Unlock()
-}
-
-// Resume implements Manager: checkpointing restarts with a full snapshot.
-func (ind *Individual) Resume() {
-	ind.mu.Lock()
-	ind.paused = false
-	ind.fullNext = true
-	ind.mu.Unlock()
-}
-
-// Taken returns how many per-PE checkpoints were initiated.
-func (ind *Individual) Taken() int {
-	ind.mu.Lock()
-	defer ind.mu.Unlock()
-	return ind.taken
-}
-
-// MeanPause returns the average pause duration per checkpoint.
-func (ind *Individual) MeanPause() time.Duration {
-	ind.mu.Lock()
-	defer ind.mu.Unlock()
-	if ind.taken == 0 {
-		return 0
+	if j.snap != nil && !whole {
+		pruneToShare(j.snap, rt, i, last)
 	}
-	return ind.pauseTotal / time.Duration(ind.taken)
+	return j, ack
 }
 
-// Stats implements Manager.
-func (ind *Individual) Stats() ManagerStats {
-	ind.mu.Lock()
-	st := ManagerStats{
-		Subjob:     ind.cfg.Runtime.Spec().ID,
-		Taken:      ind.taken,
-		Pending:    len(ind.pending),
-		LastUnits:  ind.lastUnits,
-		TotalUnits: ind.unitsTotal,
+// pruneToShare cuts a full snapshot down to PE i's share, as the classic
+// individual variant ships it: the other PEs' states and pipes go, and the
+// output queue's contents unless i is the last PE.
+func pruneToShare(snap *subjob.Snapshot, rt *subjob.Runtime, i int, last bool) {
+	for j := range snap.PEStates {
+		if j != i {
+			snap.PEStates[j] = nil
+		}
 	}
-	if ind.taken > 0 {
-		st.MeanPauseMS = float64(ind.pauseTotal) / float64(ind.taken) / 1e6
+	snap.StateUnits = rt.PEs()[i].Logic().StateSize()
+	for j := range snap.Pipes {
+		if j != i {
+			snap.Pipes[j] = nil
+		}
 	}
-	ind.mu.Unlock()
-	ind.ship.statsInto(&st)
-	return st
+	if !last {
+		snap.Output.Buf = nil
+	}
 }

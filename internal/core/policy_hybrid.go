@@ -441,8 +441,15 @@ func (hp *HybridPolicy) rearm(lc *Lifecycle, partial bool) State {
 			up.Unsubscribe(oldSec.Node())
 		}
 	}
-	// The old standby machine may be unresponsive; don't block the event
-	// loop on its teardown.
+	// From Protected the old manager lives on the live primary, the runtime
+	// its successor is about to capture from: stop it first, so the two
+	// never interleave captures there. From Unprotected it may be the deposed
+	// primary's, and like everything on the old standby machine it may be
+	// unresponsive; don't block the event loop on that teardown.
+	if oldCM != nil && cur == Protected {
+		oldCM.Stop()
+		oldCM = nil
+	}
 	go func() {
 		if oldDet != nil {
 			oldDet.Stop()

@@ -217,12 +217,16 @@ func (pp *PassivePolicy) Rearm(lc *Lifecycle, at time.Time) State {
 	lc.det, lc.cm, lc.store = nil, nil, nil
 	lc.secondaryM = target
 	lc.mu.Unlock()
+	// The old manager lives on the live primary, the runtime its successor
+	// is about to capture from: stop it first, so the two never interleave
+	// captures there. The detector and store lived on the machine that may
+	// be dead; their teardown must not block the event loop.
+	if oldCM != nil {
+		oldCM.Stop()
+	}
 	go func() {
 		if oldDet != nil {
 			oldDet.Stop()
-		}
-		if oldCM != nil {
-			oldCM.Stop()
 		}
 		if oldStore != nil {
 			oldStore.Close()

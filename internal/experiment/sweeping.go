@@ -44,36 +44,13 @@ func RunSweeping(p Params) (*SweepingResult, error) {
 	interval := 10 * time.Millisecond
 	res := &SweepingResult{Window: p.Run}
 
-	type variant struct {
+	variants := []struct {
 		label string
-		build func(cfg checkpoint.Config) checkpoint.Manager
-		taken func(m checkpoint.Manager) (int, time.Duration)
-	}
-	variants := []variant{
-		{
-			label: "sweeping",
-			build: func(cfg checkpoint.Config) checkpoint.Manager { return checkpoint.NewSweeping(cfg) },
-			taken: func(m checkpoint.Manager) (int, time.Duration) {
-				s := m.(*checkpoint.Sweeping)
-				return s.Taken(), s.MeanPause()
-			},
-		},
-		{
-			label: "synchronous",
-			build: func(cfg checkpoint.Config) checkpoint.Manager { return checkpoint.NewSynchronous(cfg) },
-			taken: func(m checkpoint.Manager) (int, time.Duration) {
-				s := m.(*checkpoint.Synchronous)
-				return s.Taken(), s.MeanPause()
-			},
-		},
-		{
-			label: "individual",
-			build: func(cfg checkpoint.Config) checkpoint.Manager { return checkpoint.NewIndividual(cfg) },
-			taken: func(m checkpoint.Manager) (int, time.Duration) {
-				s := m.(*checkpoint.Individual)
-				return s.Taken(), s.MeanPause()
-			},
-		},
+		build func(cfg checkpoint.Config) *checkpoint.Core
+	}{
+		{"sweeping", checkpoint.NewSweeping},
+		{"synchronous", checkpoint.NewSynchronous},
+		{"individual", checkpoint.NewIndividual},
 	}
 
 	for _, v := range variants {
@@ -136,10 +113,10 @@ func RunSweeping(p Params) (*SweepingResult, error) {
 
 		time.Sleep(p.Warmup)
 		before := cl.Stats()
-		taken0, _ := v.taken(cm)
+		taken0 := cm.Taken()
 		time.Sleep(p.Run)
 		delta := cl.Stats().Sub(before)
-		taken1, pause := v.taken(cm)
+		taken1, pause := cm.Taken(), cm.MeanPause()
 
 		src.Stop()
 		cm.Stop()

@@ -21,6 +21,13 @@ import (
 // subjob defs.
 func buildScheduledTestbed(t *testing.T) (*cluster.Cluster, *sched.Scheduler, *ha.Pipeline) {
 	t.Helper()
+	return buildScheduledTestbedMode(t, ha.ModeHybrid)
+}
+
+// buildScheduledTestbedMode is buildScheduledTestbed with both subjobs in
+// the given mode.
+func buildScheduledTestbedMode(t *testing.T, mode ha.Mode) (*cluster.Cluster, *sched.Scheduler, *ha.Pipeline) {
+	t.Helper()
 	cl := cluster.New(cluster.Config{Latency: 200 * time.Microsecond})
 	cl.MustAddMachine("m-src")
 	cl.MustAddMachine("m-sink")
@@ -57,8 +64,8 @@ func buildScheduledTestbed(t *testing.T) (*cluster.Cluster, *sched.Scheduler, *h
 		Source:      ha.SourceDef{Machine: "m-src", Rate: 500},
 		SinkMachine: "m-sink",
 		Subjobs: []ha.SubjobDef{
-			{PEs: newPEs(), Mode: ha.ModeHybrid, BatchSize: 16},
-			{PEs: newPEs(), Mode: ha.ModeHybrid, BatchSize: 16},
+			{PEs: newPEs(), Mode: mode, BatchSize: 16},
+			{PEs: newPEs(), Mode: mode, BatchSize: 16},
 		},
 		Hybrid: core.Options{
 			HeartbeatInterval:  20 * time.Millisecond,
