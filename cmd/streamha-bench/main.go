@@ -26,6 +26,7 @@
 //
 // -json <path> additionally writes every rendered table as machine-
 // readable JSON (figure -> metric -> value), for CI artifacts.
+// -cpuprofile <path> writes a CPU profile of the run for go tool pprof.
 package main
 
 import (
@@ -38,6 +39,7 @@ import (
 
 	"streamha/internal/experiment"
 	"streamha/internal/failure"
+	"streamha/internal/metrics"
 )
 
 func main() {
@@ -45,9 +47,11 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps and repeats for a fast look")
 	smoke := flag.Bool("smoke", false, "health-check subset for CI (affects -fig checkpoint, scale, approx)")
 	jsonPath := flag.String("json", "", "also write the results as JSON (figure -> metric -> value) to this path")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
-	if err := run(*fig, *quick, *smoke, *jsonPath); err != nil {
+	err := metrics.WithCPUProfile(*cpuProfile, func() error { return run(*fig, *quick, *smoke, *jsonPath) })
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "streamha-bench: %v\n", err)
 		os.Exit(1)
 	}

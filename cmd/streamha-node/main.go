@@ -121,6 +121,7 @@ func main() {
 	metricsTTLMS := flag.Int("metrics-ttl-ms", 0, "cache metrics sources for this many milliseconds between scrapes of /metrics and /metrics.json (0: always re-evaluate)")
 	schedOn := flag.Bool("sched", false, "run a placement scheduler over this process's machines: resolves subjobs with empty primary/secondary (single-process deployments), tracks assignments and serves sched metrics")
 	faultDomain := flag.String("fault-domain", "", "fault-domain labels: a bare name labels every hosted machine, or per-machine pairs \"w1=rack-a,w2=rack-b\"; overrides the config's fault_domains map")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this process's run to this file")
 	flag.Parse()
 	if *configPath == "" || *process == "" {
 		flag.Usage()
@@ -143,7 +144,8 @@ func main() {
 		sched:        *schedOn,
 		faultDomain:  *faultDomain,
 	}
-	if err := run(*configPath, *process, opts); err != nil {
+	err := metrics.WithCPUProfile(*cpuProfile, func() error { return run(*configPath, *process, opts) })
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "streamha-node: %v\n", err)
 		os.Exit(1)
 	}

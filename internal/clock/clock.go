@@ -29,7 +29,11 @@ type Ticker interface {
 	Stop()
 }
 
-// Real is the wall-clock implementation of Clock.
+// Real is the wall-clock implementation of Clock. On Linux its Sleep and
+// After serve a wait under 2 ms from the precise timer service of
+// precise_linux.go, so the wait takes what it asks for; an idle Go process
+// rounds a runtime timer that short up to a millisecond. Longer waits,
+// tickers and every other port use the runtime's timers.
 type Real struct{}
 
 var _ Clock = Real{}
@@ -41,10 +45,19 @@ func New() Clock { return Real{} }
 func (Real) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
+func (Real) Sleep(d time.Duration) {
+	if !preciseSleep(d) {
+		time.Sleep(d)
+	}
+}
 
 // After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (Real) After(d time.Duration) <-chan time.Time {
+	if ch := preciseAfter(d); ch != nil {
+		return ch
+	}
+	return time.After(d)
+}
 
 // Since implements Clock.
 func (Real) Since(t time.Time) time.Duration { return time.Since(t) }

@@ -24,9 +24,10 @@ const minShare = 0.002
 
 // maxSlice bounds how long Execute sleeps before re-reading the load, so
 // that load changes take effect quickly relative to experiment timescales.
-// It is a multiple of the millisecond the Go runtime rounds an idle
-// process's timers up to (see execute), so a slice takes about as long as
-// it asks for and an activity wakes a few hundred times a second at most.
+// At 3 ms a full slice is a runtime timer (clock.Real serves only waits
+// under 2 ms precisely), which an idle process rounds up by at most a
+// millisecond, and a long activity wakes a few hundred times a second at
+// most.
 const maxSlice = 3 * time.Millisecond
 
 // CPU models one machine's processor. Application activities call Execute
@@ -152,21 +153,20 @@ func (c *CPU) execute(work time.Duration, priority bool) {
 		if wall > maxSlice {
 			wall = maxSlice
 		}
-		// This floor is 1.1 ms in practice. When every P is idle the Go
-		// runtime waits for its next timer in epoll_wait, whose timeout is
-		// whole milliseconds (runtime/netpoll_epoll.go rounds a delay under
-		// 1e6 ns up to 1 ms), so on an idle process time.Sleep of 100, 200
-		// or 500 µs all take about 1.1 ms; the kernel's own timer slack is
-		// 50 µs of that. transport.Mem's scheduler stopped waiting on
-		// runtime timers for this reason (transport/wait_linux.go). Execute
-		// deliberately has not: it moves tcp-active and stall-hybrid for a
-		// reason of its own and is left to its own change.
+		// A slice this short takes what it asks for plus about 50 µs:
+		// clock.Real waits for anything under 2 ms on a kernel timer
+		// (clock/precise_linux.go; on a runtime timer in an idle process it
+		// took 1.1 ms whatever it asked for, and still does off Linux). The
+		// floor stays: every sleep is a wake-up of the timer service and of
+		// this goroutine, which no wait can undercut, so work too small to
+		// be worth one is rounded up to a sleep the timer can keep.
 		if wall < 100*time.Microsecond {
 			wall = 100 * time.Microsecond
 		}
-		// Account the measured sleep, not the requested one: the runtime's
-		// rounding overshoots every short sleep, and charging only the
-		// nominal duration would silently inflate every cost in the model.
+		// Account the measured sleep, not the requested one: every sleep
+		// overshoots (by a scheduling delay at best, by a millisecond on a
+		// runtime timer), and charging only the nominal duration would
+		// silently inflate every cost in the model.
 		start := c.clk.Now()
 		c.clk.Sleep(wall)
 		elapsed := c.clk.Since(start)

@@ -66,6 +66,14 @@ type PE struct {
 	done     chan struct{}
 
 	processed uint64
+
+	// outs is the output batch under construction and emit appends to it.
+	// Both belong to the run goroutine. emit is built once, in New: a
+	// closure built per batch escapes through Logic.Process and takes the
+	// slice header it captures to the heap with it, two objects per batch
+	// beside the backing array.
+	outs []element.Element
+	emit func(element.Element)
 }
 
 // New creates a PE runtime; call Start to launch its loop.
@@ -80,6 +88,7 @@ func New(cfg Config) *PE {
 		done:     make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	p.emit = func(e element.Element) { p.outs = append(p.outs, e) }
 	return p
 }
 
@@ -236,11 +245,13 @@ func (p *PE) processBatch(ins []queue.In) {
 	if p.cfg.Executor != nil && p.cfg.Cost > 0 {
 		p.cfg.Executor.Execute(p.cfg.Cost * time.Duration(len(ins)))
 	}
-	outs := make([]element.Element, 0, len(ins))
-	emit := func(e element.Element) { outs = append(outs, e) }
+	p.outs = make([]element.Element, 0, len(ins))
 	for _, in := range ins {
-		p.cfg.Logic.Process(in.Elem, emit)
+		p.cfg.Logic.Process(in.Elem, p.emit)
 	}
+	// The sink owns the slice from the push on, so the field lets go first.
+	outs := p.outs
+	p.outs = nil
 	if len(outs) > 0 {
 		p.cfg.Sink.Push(outs)
 	}

@@ -200,14 +200,14 @@ func (m *Mem) send(lane int, from NodeID, to NodeID, msg Message) {
 // schedule is the delivery loop used when latency is non-zero. Each pass
 // collects every mature wheel batch in delivery order, hands the entries
 // to the receivers' mailboxes, and waits until the earliest pending tick:
-// in the kernel where kernelWaiter can (Linux, wall clock), on the clock's
+// in the kernel where clock.KernelWaiter can (Linux, wall clock), on the clock's
 // After otherwise. Sends do not cut a wait short — the tick being waited
 // for is the earliest any of them can mature at — so an entry whose sender
 // stalled between its clock read and its append is released on the next
 // pass, at most one Latency late. Only an empty wheel parks on wake.
 func (m *Mem) schedule() {
 	defer close(m.done)
-	sleep := kernelWaiter(m.cfg.Clock)
+	sleep := clock.KernelWaiter(m.cfg.Clock)
 	deliver := func(entries []wheelEntry) {
 		m.regMu.RLock()
 		defer m.regMu.RUnlock()

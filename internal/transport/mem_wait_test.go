@@ -1,15 +1,13 @@
 package transport
 
 import (
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"streamha/internal/clock"
+	"streamha/internal/clock/clocktest"
 )
 
 // TestHopLatencyWallClock measures what a simulated 200 µs link costs on
@@ -53,26 +51,6 @@ func TestHopLatencyWallClock(t *testing.T) {
 	if runtime.GOOS == "linux" && median > 600*time.Microsecond {
 		t.Errorf("median hop took %v, want <= 600µs on a %v link", median, lat)
 	}
-}
-
-// processThreads reads the process's thread count from /proc.
-func processThreads(t *testing.T) int {
-	t.Helper()
-	b, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		t.Skipf("no thread count on this platform: %v", err)
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if v, ok := strings.CutPrefix(line, "Threads:"); ok {
-			n, err := strconv.Atoi(strings.TrimSpace(v))
-			if err != nil {
-				t.Fatalf("parsing %q: %v", line, err)
-			}
-			return n
-		}
-	}
-	t.Skip("no Threads: line in /proc/self/status")
-	return 0
 }
 
 // TestCloseDuringPendingWait closes the network while its scheduler waits
@@ -129,7 +107,7 @@ func TestNewMemCloseLeaksNothing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cycle()
 	}
-	goroutines, threads := runtime.NumGoroutine(), processThreads(t)
+	goroutines, threads := runtime.NumGoroutine(), clocktest.ProcessThreads(t)
 	for i := 0; i < 100; i++ {
 		cycle()
 	}
@@ -138,10 +116,10 @@ func TestNewMemCloseLeaksNothing(t *testing.T) {
 	const poolSlack = 3
 	// An exiting thread leaves /proc a moment after its goroutine is gone.
 	deadline := time.Now().Add(2 * time.Second)
-	g, th := runtime.NumGoroutine(), processThreads(t)
+	g, th := runtime.NumGoroutine(), clocktest.ProcessThreads(t)
 	for (g > goroutines || th > threads+poolSlack) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
-		g, th = runtime.NumGoroutine(), processThreads(t)
+		g, th = runtime.NumGoroutine(), clocktest.ProcessThreads(t)
 	}
 	if g > goroutines {
 		t.Errorf("goroutines: %d before 100 NewMem/Close cycles, %d after", goroutines, g)
