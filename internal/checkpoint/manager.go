@@ -73,7 +73,9 @@ type Config struct {
 	// Clock is the time source.
 	Clock clock.Clock
 	// Interval is the checkpoint interval (the paper sweeps it from 100 ms
-	// to 900 ms; experiments here run at one-tenth scale).
+	// to 900 ms; experiments here run at one-tenth scale). Sweeping ticks
+	// only to seed a sweep in a period without any checkpoint, so after
+	// trims stop its next checkpoint comes within 2 × Interval.
 	Interval time.Duration
 	// StoreNode is the machine holding the secondary state (a Store or a
 	// hybrid standby runtime).
@@ -179,7 +181,7 @@ type cause int
 const (
 	byCall  cause = iota // an explicit CheckpointNow
 	byTrim               // the output queue's trim hook
-	byTimer              // the interval timer or ticker
+	byTimer              // the interval ticker
 	numCauses
 )
 
@@ -264,20 +266,6 @@ func (m *Core) Stop() {
 // run is the trigger loop.
 func (m *Core) run() {
 	defer close(m.done)
-	if m.trigger == onTrim {
-		// The interval timer is a fallback seed: a trim-triggered checkpoint
-		// resets it, so the sweep cascade does not double up with the timer.
-		for {
-			select {
-			case <-m.stop:
-				return
-			case <-m.trig:
-				m.capture(0, byTrim)
-			case <-m.cfg.Clock.After(m.cfg.Interval):
-				m.capture(0, byTimer)
-			}
-		}
-	}
 	// Independent per-PE timers are modeled as a single loop firing n
 	// evenly-phased sub-ticks per interval, each checkpointing one PE.
 	n := 1
@@ -288,12 +276,28 @@ func (m *Core) run() {
 	}
 	t := m.cfg.Clock.NewTicker(m.cfg.Interval / time.Duration(n))
 	defer t.Stop()
-	for i := 0; ; i++ {
+	// Under sweeping the ticker only seeds a sweep: a tick captures only if
+	// no trim or CheckpointNow was taken since the previous tick, so a trim
+	// that comes a little late is not doubled by a timer sweep.
+	var seen int // untimed checkpoints as of the previous tick
+	for i := 0; ; {
 		select {
 		case <-m.stop:
 			return
+		case <-m.trig: // fed by the trim hook, which only onTrim installs
+			m.capture(0, byTrim)
 		case <-t.C():
+			if m.trigger == onTrim {
+				m.mu.Lock()
+				untimed := m.taken - m.byCause[byTimer]
+				m.mu.Unlock()
+				if untimed != seen {
+					seen = untimed
+					continue
+				}
+			}
 			m.capture(i%n, byTimer)
+			i++
 		}
 	}
 }

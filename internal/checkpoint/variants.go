@@ -6,7 +6,7 @@ import "streamha/internal/subjob"
 type trigger int
 
 const (
-	onTrim   trigger = iota // the output queue's trim hook, Clock.After(Interval) as fallback seed
+	onTrim   trigger = iota // the output queue's trim hook; a ticker of period Interval seeds a sweep only after a period without any checkpoint
 	onTick                  // one subjob-wide ticker of period Interval
 	onPETick                // a timer per PE: Interval/len(PEs) apart, rotating over the PEs
 )
@@ -25,8 +25,10 @@ type capturePlan struct {
 }
 
 // NewSweeping creates the sweeping checkpoint manager: a checkpoint is
-// taken immediately after the subjob's output queue is trimmed, with the
-// interval timer as a fallback seed. Snapshots exclude the input queue.
+// taken immediately after the subjob's output queue is trimmed, and the
+// interval ticker only seeds a sweep — a tick checkpoints when nothing was
+// taken since the previous tick, so a subjob that receives no trims still
+// checkpoints once per Interval. Snapshots exclude the input queue.
 func NewSweeping(cfg Config) *Core { return newCore(cfg, onTrim, capturePlan{}) }
 
 // NewSynchronous creates the timer-driven variant the paper compares

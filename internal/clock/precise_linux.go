@@ -31,21 +31,6 @@ const (
 	// 100 / 256 / 500 µs: 1.11 / 1.10 / 1.10 ms on a runtime timer).
 	preciseBelow = 2 * time.Millisecond
 
-	// grid is what a short deadline is rounded up to, so that waits that
-	// end microseconds apart expire together; a wait is late by 25 µs on
-	// average and never early. ISSUE 22 sized it on a thread in ppoll(2),
-	// where the two copies of a PE stage (same batch, same cost) then
-	// share a wake-up: proc.cpu_us_per_elem 9.14 to 7.24 µs on tcp-active.
-	// Here the second of two close expiries finds the reader still
-	// running, so the grid buys no CPU (seven traced pairs, on against
-	// off: medians 6.4 and 6.1 µs, off lower in 4) and costs tcp-active
-	// 0.15 ms of delay_p50_ms (1.27 against 1.12). It stays for
-	// stall-hybrid: checkpoint sweeps there are paced by how short the
-	// pause is (ROADMAP 2c), 108 a second at the parent, 114 with the grid
-	// and 118 without, and net_units_per_elem follows: +7 % with it, +9 %
-	// without on the same quiet host, against a bound of 10 %.
-	grid = int64(50 * time.Microsecond)
-
 	// idleExit is how long the service goroutine outlives the last short
 	// wait. It must exceed every steady-state gap between short waits, or
 	// the goroutine is restarted for each: the widest on the benchmark is
@@ -58,7 +43,10 @@ const (
 
 // deadline is one pending short wait.
 type deadline struct {
-	at int64 // nanoseconds since epoch, on the grid
+	// at is when the wait ends, now + d in ns since epoch, not rounded to a
+	// grid: with the reader parked in the poller, merging close expiries
+	// saves no wake-up, and a 50 µs grid made waits 25 µs late on average.
+	at int64
 	ch chan time.Time
 }
 
@@ -145,7 +133,7 @@ func enqueue(d time.Duration, ch chan time.Time) bool {
 		return false
 	}
 	now := sinceEpoch()
-	at := (now + int64(d) + grid - 1) / grid * grid
+	at := now + int64(d)
 	push(&s.heap, deadline{at: at, ch: ch})
 	if !s.running {
 		s.running = true
