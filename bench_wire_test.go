@@ -9,7 +9,7 @@ package streamha_test
 // against the seed's gob framing (kept in tcp.go behind TCPConfig.Codec as
 // the frozen baseline); the TCP publish benchmarks run the same comparison
 // end to end over a loopback socket, including the writer's batched
-// single-flush drain. The scheduler benchmarks pit the timing wheel (the
+// single-flush drain. The scheduler benchmarks pit the delay line (the
 // live Mem scheduler) against a verbatim copy of the seed's global-mutex
 // container/heap scheduler under 8 concurrent senders. Bodies live in
 // internal/experiment/wirebench.go so streamha-bench -fig wire measures
@@ -37,6 +37,6 @@ func BenchmarkWireTCPPublish(b *testing.B) {
 }
 
 func BenchmarkWireSched(b *testing.B) {
-	b.Run("wheel", experiment.BenchWireSchedWheel)
+	b.Run("delayline", experiment.BenchWireSchedDelayLine)
 	b.Run("seed-heap", experiment.BenchWireSchedSeed)
 }

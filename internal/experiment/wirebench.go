@@ -18,8 +18,8 @@ import (
 // TCP transport (hand-rolled length-prefixed binary codec vs the seed's gob
 // framing, which tcp.go keeps behind TCPConfig.Codec as the frozen
 // baseline), the end-to-end publish rate over a real socket under both
-// codecs, and the in-memory latency scheduler's throughput (timing wheel vs
-// a frozen copy of the seed's global-mutex container/heap scheduler). The
+// codecs, and the in-memory latency scheduler's throughput (delay line vs a
+// frozen copy of the seed's global-mutex container/heap scheduler). The
 // bodies are shared between the go-test harness (BenchmarkWire* in
 // bench_wire_test.go, which CI smoke-runs) and streamha-bench -fig wire, so
 // recorded numbers come from the same code.
@@ -142,11 +142,11 @@ func BenchWireTCPPublish(b *testing.B, codec transport.Codec) {
 }
 
 // ---------------------------------------------------------------------------
-// Latency-scheduler benchmarks: timing wheel vs frozen seed heap.
+// Latency-scheduler benchmarks: delay line vs frozen seed heap.
 
 // seedPendingDelivery and seedDeliveryQueue are the seed scheduler's heap
 // entry and container/heap implementation, retained verbatim as a baseline
-// after mem.go moved to the timing wheel.
+// after mem.go moved off it.
 type seedPendingDelivery struct {
 	at   time.Time
 	seq  uint64
@@ -180,7 +180,7 @@ var seedPendingPool = sync.Pool{New: func() any { return new(seedPendingDelivery
 // seedScheduler is the seed's latency scheduler frozen in place: every send
 // pushes one heap entry under a single global mutex, and a drainer pops due
 // entries. Matured deliveries are discarded; the benchmarks isolate the
-// scheduling structure, which is what the timing wheel replaced.
+// scheduling structure, which is what the delay line replaced.
 type seedScheduler struct {
 	mu    sync.Mutex
 	queue seedDeliveryQueue
@@ -228,12 +228,12 @@ const WireSchedSenders = 8
 // "push b.N, then drain b.N" batch whose timing is dominated by allocator
 // and GC behavior on an ever-growing backlog; with it, both structures are
 // measured at sustained steady state, backlogged deeply enough that the
-// heap's O(log n) pops and the wheel's O(1) appends and slab handoffs are
-// what differ.
+// heap's O(log n) pops and the delay line's O(1) appends and prefix copies
+// are what differ.
 const wireSchedWindow = 1 << 18
 
 // wireClockBatch is how many sends share one deadline stamp. A per-push
-// time.Now() costs more than a wheel append itself and is identical for
+// time.Now() costs more than a delay-line append itself and is identical for
 // both structures, so stamping in small batches keeps the measurement on
 // the scheduling structures rather than on the clock syscall.
 const wireClockBatch = 32
@@ -305,15 +305,15 @@ func BenchWireSchedSeed(b *testing.B) {
 		s.drainDue)
 }
 
-// BenchWireSchedWheel runs the identical workload through the timing wheel
-// Mem now schedules with: per-bucket locks and O(1) appends on the push
-// side.
-func BenchWireSchedWheel(b *testing.B) {
-	s := transport.NewWheelSched(wireSchedLatency)
+// BenchWireSchedDelayLine runs the identical workload through the delay
+// line Mem now schedules with: one mutex, an O(1) append per push and a
+// prefix copy per drain.
+func BenchWireSchedDelayLine(b *testing.B) {
+	s := &transport.DelaySched{}
 	msg := transport.Message{Kind: transport.KindPing}
 	benchSched(b,
-		func(sender int, at time.Time) { s.Add(at, sender, "src", "dst", msg) },
-		func(now time.Time) int { n, _ := s.Drain(now); return n })
+		func(_ int, at time.Time) { s.Add(at, "src", "dst", msg) },
+		s.Drain)
 }
 
 // WireRow is one wire-path benchmark measurement.
@@ -361,7 +361,7 @@ func RunWire() *WireResult {
 	add("decode/binary", BenchWireDecodeBinary)
 	add("tcp-publish/binary", func(b *testing.B) { BenchWireTCPPublish(b, transport.CodecBinary) })
 	add("tcp-publish/gob-baseline", func(b *testing.B) { BenchWireTCPPublish(b, transport.CodecGob) })
-	add("sched-8senders/wheel", BenchWireSchedWheel)
+	add("sched-8senders/delayline", BenchWireSchedDelayLine)
 	add("sched-8senders/seed-heap", BenchWireSchedSeed)
 	return res
 }
@@ -370,7 +370,7 @@ func RunWire() *WireResult {
 func (r *WireResult) Table() Table {
 	t := Table{
 		Title:  "Wire path: frame codec and latency scheduler (batch of 64)",
-		Note:   "binary length-prefixed codec + batched flushes vs gob baseline; timing wheel vs seed global-mutex heap",
+		Note:   "binary length-prefixed codec + batched flushes vs gob baseline; delay line vs seed global-mutex heap",
 		Header: []string{"benchmark", "ns/op", "MB/s", "msgs|elems/s", "B/op", "allocs/op"},
 	}
 	for _, row := range r.Rows {

@@ -3,7 +3,6 @@ package transport
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"streamha/internal/clock"
@@ -20,20 +19,18 @@ type MemConfig struct {
 }
 
 // Mem is an in-memory Network. Delivery is FIFO per (sender, receiver) pair:
-// messages are released by a single scheduler goroutine in (deadline, send
-// order) and handed to a per-receiver dispatch goroutine that invokes the
-// handler sequentially. A message is never delivered before its Latency has
-// passed; how soon after depends on where the scheduler can wait (see
-// schedule): on Linux with the wall clock a 200 µs hop takes about 0.23 ms,
-// elsewhere a runtime timer makes it about 1.1 ms when the process is
-// otherwise idle.
+// every message waits the same Latency, so a single delay line (see
+// delayline.go) holds them in send order, which is deadline order; one
+// scheduler goroutine releases its mature prefix and hands each message to
+// a per-receiver dispatch goroutine that invokes the handler sequentially.
+// A message is never delivered before its Latency has passed; how soon
+// after depends on where the scheduler can wait (see schedule): on Linux
+// with the wall clock a 200 µs hop takes about 0.23 ms, elsewhere a runtime
+// timer makes it about 1.1 ms when the process is otherwise idle.
 //
-// Delivery is sharded per receiver: the node registry is guarded by a
-// read/write lock the hot send path only read-locks, and each receiver has
-// its own inbox lock, so concurrent senders to different nodes never
-// contend on a common exclusive lock. The latency scheduler is a timing
-// wheel (see wheel.go) whose buckets are individually locked, so delayed
-// sends append in O(1) without a global scheduler mutex.
+// The node registry is guarded by a read/write lock the hot send path only
+// read-locks, and each receiver has its own inbox lock; a delayed send
+// appends to the delay line under its one mutex, in O(1).
 type Mem struct {
 	cfg MemConfig
 
@@ -45,18 +42,15 @@ type Mem struct {
 	down   map[NodeID]bool
 	closed bool
 
-	// wheel is the latency scheduler's pending-delivery timing wheel. It is
-	// nil when Latency is zero. laneSeq assigns each registered node a
-	// stable wheel lane, round-robin (guarded by regMu).
-	wheel   *timingWheel
-	laneSeq int
+	// line holds the deliveries waiting out Latency; unused when Latency is
+	// zero.
+	line delayLine
 	// wake unparks the scheduler. It is signalled by Close, and by a send
-	// only while idle says the scheduler found the wheel empty: a scheduler
-	// waiting for a tick needs no wake-up, because every deadline is
-	// now + Latency and so nothing sent during the wait can mature before
-	// the tick being waited for. done is closed when the scheduler exits.
+	// only when the line reports that the scheduler found it empty: a
+	// scheduler waiting for the head's deadline needs no wake-up, because
+	// nothing sent during the wait can mature before the head. done is
+	// closed when the scheduler exits.
 	wake chan struct{}
-	idle atomic.Bool
 	done chan struct{}
 
 	obsMu    sync.RWMutex
@@ -90,7 +84,6 @@ func NewMem(cfg MemConfig) *Mem {
 		wake:  make(chan struct{}, 1),
 	}
 	if cfg.Latency > 0 {
-		m.wheel = newTimingWheel(cfg.Latency)
 		m.done = make(chan struct{})
 		go m.schedule()
 	}
@@ -105,8 +98,6 @@ func (m *Mem) Register(id NodeID, h Handler) (Endpoint, error) {
 		return nil, ErrDuplicateNode
 	}
 	n := newMemNode(m, id, h)
-	n.lane = m.laneSeq
-	m.laneSeq++
 	m.nodes[id] = n
 	return n, nil
 }
@@ -156,7 +147,7 @@ func (m *Mem) signal() {
 	}
 }
 
-func (m *Mem) send(lane int, from NodeID, to NodeID, msg Message) {
+func (m *Mem) send(from NodeID, to NodeID, msg Message) {
 	m.stats.record(msg.Kind, msg.ElementUnits())
 	m.obsMu.RLock()
 	obs := m.observer
@@ -191,33 +182,21 @@ func (m *Mem) send(lane int, from NodeID, to NodeID, msg Message) {
 	if blocked {
 		return
 	}
-	m.wheel.add(m.cfg.Clock.Now().Add(m.cfg.Latency), lane, from, to, msg)
-	if m.idle.Load() {
+	if m.line.add(m.cfg.Clock.Now().Add(m.cfg.Latency).UnixNano(), from, to, msg) {
 		m.signal()
 	}
 }
 
 // schedule is the delivery loop used when latency is non-zero. Each pass
-// collects every mature wheel batch in delivery order, hands the entries
-// to the receivers' mailboxes, and waits until the earliest pending tick:
-// in the kernel where clock.KernelWaiter can (Linux, wall clock), on the clock's
-// After otherwise. Sends do not cut a wait short — the tick being waited
-// for is the earliest any of them can mature at — so an entry whose sender
-// stalled between its clock read and its append is released on the next
-// pass, at most one Latency late. Only an empty wheel parks on wake.
+// takes the line's mature prefix, hands it to the receivers' mailboxes in
+// deadline order, and waits until the new head's deadline: in the kernel
+// where clock.KernelWaiter can (Linux, wall clock), on the clock's After
+// otherwise. Sends do not cut a wait short — nothing they append can come
+// due before the head being waited for. Only an empty line parks on wake.
 func (m *Mem) schedule() {
 	defer close(m.done)
 	sleep := clock.KernelWaiter(m.cfg.Clock)
-	deliver := func(entries []wheelEntry) {
-		m.regMu.RLock()
-		defer m.regMu.RUnlock()
-		for i := range entries {
-			e := &entries[i]
-			if n := m.nodes[e.to]; n != nil && !m.down[e.to] && !m.down[e.from] {
-				n.box.enqueue(e.from, e.msg)
-			}
-		}
-	}
+	var batch []delayEntry
 	for {
 		m.regMu.RLock()
 		closed := m.closed
@@ -225,19 +204,24 @@ func (m *Mem) schedule() {
 		if closed {
 			return
 		}
-		next := m.wheel.collect(m.cfg.Clock.Now(), deliver)
-		if next == math.MaxInt64 {
-			// Announce the park before re-checking for an entry added
-			// since collect looked: the sender either sees idle and
-			// signals, or its entry is seen here.
-			m.idle.Store(true)
-			if !m.wheel.addedSinceCollect() {
-				<-m.wake
+		var next int64
+		batch, next = m.line.take(m.cfg.Clock.Now().UnixNano(), batch[:0])
+		if len(batch) > 0 {
+			m.regMu.RLock()
+			for i := range batch {
+				e := &batch[i]
+				if n := m.nodes[e.to]; n != nil && !m.down[e.to] && !m.down[e.from] {
+					n.box.enqueue(e.from, e.msg)
+				}
 			}
-			m.idle.Store(false)
+			m.regMu.RUnlock()
+			clear(batch) // do not pin delivered payloads
+		}
+		if next == math.MaxInt64 {
+			<-m.wake
 			continue
 		}
-		wait := m.wheel.timeAt(next).Sub(m.cfg.Clock.Now())
+		wait := time.Duration(next - m.cfg.Clock.Now().UnixNano())
 		if wait <= 0 {
 			continue
 		}
@@ -256,10 +240,9 @@ func (m *Mem) schedule() {
 // dedicated dispatch goroutine, so slow handlers never block the network
 // scheduler or other receivers.
 type memNode struct {
-	net  *Mem
-	id   NodeID
-	lane int // stable wheel lane; see wheelLanes
-	box  *mailbox
+	net *Mem
+	id  NodeID
+	box *mailbox
 }
 
 var _ Endpoint = (*memNode)(nil)
@@ -276,7 +259,7 @@ func (n *memNode) Send(to NodeID, msg Message) error {
 	if n.box.isClosed() {
 		return ErrClosed
 	}
-	n.net.send(n.lane, n.id, to, msg)
+	n.net.send(n.id, to, msg)
 	return nil
 }
 

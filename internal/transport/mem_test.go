@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -89,6 +91,85 @@ func TestPerPairFIFOWithLatency(t *testing.T) {
 		if m.Seq != uint64(i+1) {
 			t.Fatalf("delivery %d has seq %d: reordering", i, m.Seq)
 		}
+	}
+}
+
+// TestLatencyFIFOManySenders is the per-pair FIFO contract under the
+// delay line with concurrent senders. The burst case keeps the line full;
+// the paced case lets it run empty again and again while senders are
+// still coming, which is where a scheduler that parks on an empty line and
+// ignores sends while it waits for the head could lose a wake-up (seen as
+// a delivery that never comes). Run with -race in CI.
+func TestLatencyFIFOManySenders(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		latency time.Duration
+		pause   time.Duration // upper bound of a sender's pause every 10 sends
+	}{
+		{"burst-300us", 300 * time.Microsecond, 0},
+		{"paced-200us", 200 * time.Microsecond, 600 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testLatencyFIFOManySenders(t, tc.latency, tc.pause)
+		})
+	}
+}
+
+func testLatencyFIFOManySenders(t *testing.T, latency, pause time.Duration) {
+	net := NewMem(MemConfig{Latency: latency})
+	defer net.Close()
+
+	type rec struct {
+		mu   sync.Mutex
+		last map[NodeID]uint64
+		n    int
+	}
+	r := rec{last: map[NodeID]uint64{}}
+	if _, err := net.Register("dst", func(from NodeID, msg Message) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if msg.Seq <= r.last[from] {
+			t.Errorf("sender %s: seq %d after %d", from, msg.Seq, r.last[from])
+		}
+		r.last[from] = msg.Seq
+		r.n++
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	const senders = 8
+	const perSender = 500
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		ep, err := net.Register(NodeID(fmt.Sprintf("src%d", s)), func(NodeID, Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(s)))
+			for i := 1; i <= perSender; i++ {
+				_ = ep.Send("dst", Message{Kind: KindAck, Seq: uint64(i)})
+				if pause > 0 && i%10 == 0 {
+					time.Sleep(time.Duration(rng.Int63n(int64(pause))))
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		r.mu.Lock()
+		n := r.n
+		r.mu.Unlock()
+		if n == senders*perSender {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d of %d", n, senders*perSender)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestHopLatencyWallClock(t *testing.T) {
 }
 
 // TestCloseDuringPendingWait closes the network while its scheduler waits
-// for a tick. A kernel wait cannot be interrupted, so Close may take one
+// for a pending deadline. A kernel wait cannot be interrupted, so Close may take one
 // Latency; it must not take longer.
 func TestCloseDuringPendingWait(t *testing.T) {
 	const lat = 100 * time.Millisecond
@@ -149,8 +149,9 @@ func (c armedClock) After(d time.Duration) <-chan time.Time {
 // reaches the deadline, and the message is delivered at exactly that
 // reading.
 func TestManualClockDeliversAtDeadline(t *testing.T) {
-	// A power-of-two latency and start make the deadline a tick boundary,
-	// so "exactly" has no tick of rounding in it.
+	// The delay line keeps deadlines to the nanosecond, so any latency and
+	// start would do for "exactly"; these are kept from when a scheduler
+	// tick had to divide them.
 	const lat = time.Duration(1 << 20)
 	start := time.Unix(0, 1<<40)
 	clk := armedClock{Manual: clock.NewManual(start), armed: make(chan time.Duration, 1)}
