@@ -66,6 +66,9 @@ func (a *Acker) run() {
 	defer close(a.done)
 	t := a.clk.NewTicker(a.interval)
 	defer t.Stop()
+	// AckUpstream is done with the positions when it returns, so one map
+	// serves every tick.
+	var pos map[string]uint64
 	for {
 		select {
 		case <-a.stop:
@@ -74,7 +77,8 @@ func (a *Acker) run() {
 			if a.rt.Suspended() || a.rt.Machine().Crashed() {
 				continue
 			}
-			a.rt.AckUpstream(a.rt.ConsumedPositions())
+			pos = a.rt.PEs()[0].ConsumedPositionsInto(pos)
+			a.rt.AckUpstream(pos)
 		}
 	}
 }

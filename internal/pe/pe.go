@@ -8,14 +8,18 @@ import (
 	"streamha/internal/queue"
 )
 
-// Source feeds a PE. Both queue.Input and Pipe satisfy it.
+// Source feeds a PE. Both queue.Input and Pipe satisfy it. The PE is the
+// source's only consumer, and a batch TryPop returns belongs to the source:
+// it is valid until the next TryPop, so the PE finishes a batch before it
+// pops the next and keeps none of it.
 type Source interface {
 	Ready() <-chan struct{}
 	TryPop(max int) []queue.In
 }
 
-// Sink receives a PE's outputs. Pipe satisfies it directly; the subjob
-// runtime adapts queue.Output.
+// Sink receives a PE's outputs. Pipe satisfies it directly and copies what
+// it is pushed; any other sink — the subjob runtime's adapter of
+// queue.Output.Publish — takes ownership of the slice.
 type Sink interface {
 	Push(elems []element.Element)
 }
@@ -71,9 +75,12 @@ type PE struct {
 	// Both belong to the run goroutine. emit is built once, in New: a
 	// closure built per batch escapes through Logic.Process and takes the
 	// slice header it captures to the heap with it, two objects per batch
-	// beside the backing array.
-	outs []element.Element
-	emit func(element.Element)
+	// beside the backing array. keepOuts is set when the sink is a *Pipe,
+	// which copies on Push, so one outs array serves every batch; any other
+	// sink owns the array it is pushed and the next batch needs a fresh one.
+	outs     []element.Element
+	emit     func(element.Element)
+	keepOuts bool
 }
 
 // New creates a PE runtime; call Start to launch its loop.
@@ -89,6 +96,7 @@ func New(cfg Config) *PE {
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.emit = func(e element.Element) { p.outs = append(p.outs, e) }
+	_, p.keepOuts = cfg.Sink.(*Pipe)
 	return p
 }
 
@@ -160,13 +168,23 @@ func (p *PE) Paused() bool {
 // source is the subjob input queue; positions become acknowledgments once
 // the covering checkpoint is stored.
 func (p *PE) ConsumedPositions() map[string]uint64 {
+	return p.ConsumedPositionsInto(nil)
+}
+
+// ConsumedPositionsInto is ConsumedPositions writing into dst, which it
+// clears first, and allocating only when dst is nil. A caller that drops
+// each copy before it takes the next (the periodic acker) reuses one map.
+func (p *PE) ConsumedPositionsInto(dst map[string]uint64) map[string]uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[string]uint64, len(p.consumed))
-	for k, v := range p.consumed {
-		out[k] = v
+	if dst == nil {
+		dst = make(map[string]uint64, len(p.consumed))
 	}
-	return out
+	clear(dst)
+	for k, v := range p.consumed {
+		dst[k] = v
+	}
+	return dst
 }
 
 // SetConsumedPositions overwrites consumption positions during a restore.
@@ -245,13 +263,19 @@ func (p *PE) processBatch(ins []queue.In) {
 	if p.cfg.Executor != nil && p.cfg.Cost > 0 {
 		p.cfg.Executor.Execute(p.cfg.Cost * time.Duration(len(ins)))
 	}
-	p.outs = make([]element.Element, 0, len(ins))
+	if p.keepOuts {
+		p.outs = p.outs[:0]
+	} else {
+		p.outs = make([]element.Element, 0, len(ins))
+	}
 	for _, in := range ins {
 		p.cfg.Logic.Process(in.Elem, p.emit)
 	}
-	// The sink owns the slice from the push on, so the field lets go first.
 	outs := p.outs
-	p.outs = nil
+	if !p.keepOuts {
+		// The sink owns the slice from the push on, so the field lets go first.
+		p.outs = nil
+	}
 	if len(outs) > 0 {
 		p.cfg.Sink.Push(outs)
 	}

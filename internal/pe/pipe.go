@@ -12,11 +12,13 @@ import (
 // ends live in the same process, acknowledgment is implicit and the pipe's
 // content is captured in checkpoints (it is part of the producing PE's
 // output queue). Consumption follows the same edge-triggered Ready/TryPop
-// contract as queue.Input.
+// contract as queue.Input, including its single consumer and reused pop
+// buffer.
 type Pipe struct {
-	mu    sync.Mutex
-	buf   []element.Element
-	ready chan struct{}
+	mu     sync.Mutex
+	buf    []element.Element
+	popped []queue.In // TryPop's result, reused by the next TryPop
+	ready  chan struct{}
 }
 
 // NewPipe returns an empty pipe.
@@ -24,7 +26,8 @@ func NewPipe() *Pipe {
 	return &Pipe{ready: make(chan struct{}, 1)}
 }
 
-// Push appends elements.
+// Push appends a copy of elems: the caller keeps its slice and may reuse
+// it as soon as Push returns.
 func (p *Pipe) Push(elems []element.Element) {
 	if len(elems) == 0 {
 		return
@@ -47,7 +50,8 @@ func (p *Pipe) Ready() <-chan struct{} { return p.ready }
 
 // TryPop removes and returns up to max elements without blocking. The
 // returned entries carry an empty Stream: consumption positions are only
-// tracked at subjob boundaries.
+// tracked at subjob boundaries. The returned slice belongs to the pipe and
+// is valid until the next TryPop, which overwrites it.
 func (p *Pipe) TryPop(max int) []queue.In {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -58,15 +62,15 @@ func (p *Pipe) TryPop(max int) []queue.In {
 	if n > max {
 		n = max
 	}
-	out := make([]queue.In, n)
-	for i := 0; i < n; i++ {
-		out[i] = queue.In{Elem: p.buf[i]}
+	p.popped = p.popped[:0]
+	for _, e := range p.buf[:n] {
+		p.popped = append(p.popped, queue.In{Elem: e})
 	}
 	// Compact in place: the survivors slide to the front of the same
 	// backing array instead of reallocating it on every pop.
 	k := copy(p.buf, p.buf[n:])
 	p.buf = p.buf[:k]
-	return out
+	return p.popped
 }
 
 // Snapshot returns a copy of the pipe's content for a checkpoint.

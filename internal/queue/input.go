@@ -21,7 +21,9 @@ type In struct {
 // Consumption is non-blocking: TryPop drains what is available and Ready
 // signals (edge-triggered, capacity one) when new data arrives, so
 // consumers can select over data and control channels without a wakeup
-// race.
+// race. A queue has exactly one consumer (a PE loop or a sink), and TryPop
+// hands it batches in a buffer the queue reuses, so the consumer must be
+// done with one batch before it pops the next.
 //
 // Sequence numbers on each stream must arrive contiguously; the transport
 // is FIFO and retransmission always restarts from the consumer's
@@ -31,6 +33,7 @@ type In struct {
 type Input struct {
 	mu       sync.Mutex
 	buf      []In
+	popped   []In              // TryPop's result, reused by the next TryPop
 	accepted map[string]uint64 // highest accepted seq per stream
 	// split/part form the consumer-side partition guard of a keyed-parallel
 	// instance: elements whose key routes elsewhere in the live table are
@@ -182,6 +185,8 @@ func (q *Input) signal() {
 func (q *Input) Ready() <-chan struct{} { return q.ready }
 
 // TryPop removes and returns up to max queued elements without blocking.
+// The returned slice belongs to the queue and is valid until the next
+// TryPop, which overwrites it.
 func (q *Input) TryPop(max int) []In {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -192,13 +197,12 @@ func (q *Input) TryPop(max int) []In {
 	if n > max {
 		n = max
 	}
-	out := make([]In, n)
-	copy(out, q.buf[:n])
+	q.popped = append(q.popped[:0], q.buf[:n]...)
 	// Compact in place: the survivors slide to the front of the same
 	// backing array instead of reallocating it on every pop.
 	k := copy(q.buf, q.buf[n:])
 	q.buf = q.buf[:k]
-	return out
+	return q.popped
 }
 
 // Accepted returns the highest accepted sequence number for stream.

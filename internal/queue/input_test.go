@@ -30,6 +30,36 @@ func TestPushPopInOrder(t *testing.T) {
 	}
 }
 
+// TestTryPopReusesItsBuffer: a warmed queue pops into the buffer it owns,
+// so a push/pop cycle allocates nothing, and a pop leaves the batch it
+// returned last overwritten — the reason a consumer must be done with a
+// batch before it pops the next.
+func TestTryPopReusesItsBuffer(t *testing.T) {
+	q := NewInput("a")
+	batch := seqElems(1, 16)
+	cycle := func() {
+		for i := range batch {
+			batch[i].Seq += uint64(len(batch))
+		}
+		q.Push("a", batch)
+		q.TryPop(len(batch))
+	}
+	q.Push("a", batch)
+	first := q.TryPop(len(batch))
+	if first[0].Elem.Seq != 1 {
+		t.Fatalf("first pop starts at %d", first[0].Elem.Seq)
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("Push+TryPop made %v allocations, want 0", got)
+	}
+	if want := uint64(1 + 101*len(batch)); first[0].Elem.Seq != want {
+		t.Errorf("the first pop's buffer holds seq %d, want the last pop's %d", first[0].Elem.Seq, want)
+	}
+	if dups, gaps := q.Drops(); dups != 0 || gaps != 0 {
+		t.Errorf("dups=%d gaps=%d", dups, gaps)
+	}
+}
+
 func TestDuplicatesDropped(t *testing.T) {
 	q := NewInput("a")
 	q.Push("a", seqElems(1, 3))

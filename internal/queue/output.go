@@ -23,7 +23,9 @@
 // to inspect the assigned sequence numbers via Publish's return value — is
 // fine. Symmetrically, message handlers must treat received element slices
 // as immutable, since every subscriber of a stream observes the same
-// backing array.
+// backing array. On the consuming side the rule is reversed: the batch
+// Input.TryPop returns belongs to the input queue and is overwritten by
+// the next TryPop.
 package queue
 
 import (

@@ -704,35 +704,32 @@ func (r *Runtime) noteSender(logical string, node transport.NodeID) {
 	byNode[node] = now
 }
 
-// ackTargets returns the current acknowledgment destinations for logical:
-// every copy of the owning subjob that delivered data recently.
-func (r *Runtime) ackTargets(logical string) []AckTarget {
-	stream := r.ackStreams[logical]
-	now := r.m.Clock().Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []AckTarget
-	for node, seen := range r.senders[logical] {
-		if now.Sub(seen) > senderStaleness {
-			delete(r.senders[logical], node)
-			continue
-		}
-		out = append(out, AckTarget{Node: node, Stream: stream})
-	}
-	return out
-}
-
 // AckUpstream sends cumulative acknowledgments for the given positions to
-// every upstream copy that recently delivered data on each stream.
+// every upstream copy that recently delivered data on each stream. The
+// copies are collected under the lock into a stack array — a stream has
+// one sender per live copy, so four is room to spare — and the acks are
+// sent after the lock is released.
 func (r *Runtime) AckUpstream(positions map[string]uint64) {
+	now := r.m.Clock().Now()
+	var buf [4]transport.NodeID
 	for s, seq := range positions {
 		if seq == 0 {
 			continue
 		}
-		for _, t := range r.ackTargets(s) {
-			r.m.Send(t.Node, transport.Message{
+		nodes := buf[:0]
+		r.mu.Lock()
+		for node, seen := range r.senders[s] {
+			if now.Sub(seen) > senderStaleness {
+				delete(r.senders[s], node)
+				continue
+			}
+			nodes = append(nodes, node)
+		}
+		r.mu.Unlock()
+		for _, node := range nodes {
+			r.m.Send(node, transport.Message{
 				Kind:   transport.KindAck,
-				Stream: t.Stream,
+				Stream: r.ackStreams[s],
 				Seq:    seq,
 			})
 		}

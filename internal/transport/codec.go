@@ -120,15 +120,21 @@ func DecodeFrame(b []byte) (from, to NodeID, msg Message, n int, err error) {
 		err = errFrameMalformed
 		return
 	}
-	from, to, msg, err = decodeFramePayload(b[ln : ln+int(size)])
+	from, to, msg, err = decodeFramePayload(b[ln:ln+int(size)], nil)
 	n = ln + int(size)
 	return
 }
 
-// payloadReader is a sticky-error cursor over one frame payload.
+// maxInternedNames caps a connection's name table: the peer is outside the
+// program, so the names it sends are not a bounded set.
+const maxInternedNames = 256
+
+// payloadReader is a sticky-error cursor over one frame payload. names, if
+// not nil, interns the strings it reads (see str).
 type payloadReader struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	names map[string]string
 }
 
 func (r *payloadReader) fail() {
@@ -160,16 +166,25 @@ func (r *payloadReader) uvarint() uint64 {
 	return v
 }
 
-// str reads a uvarint-length-prefixed string; the conversion copies, so the
-// result does not alias the payload buffer.
+// str reads a uvarint-length-prefixed string that does not alias the
+// payload buffer. A name already in the reader's table is returned from
+// it without allocating; a new one is copied and, while the table has
+// room, added to it.
 func (r *payloadReader) str() string {
 	n := r.uvarint()
 	if r.err != nil || n > uint64(len(r.b)) {
 		r.fail()
 		return ""
 	}
-	s := string(r.b[:n])
+	b := r.b[:n]
 	r.b = r.b[n:]
+	if s, ok := r.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if r.names != nil && len(r.names) < maxInternedNames {
+		r.names[s] = s
+	}
 	return s
 }
 
@@ -189,9 +204,10 @@ func (r *payloadReader) bytes() []byte {
 }
 
 // decodeFramePayload parses one frame payload. The payload buffer may be
-// reused by the caller after return.
-func decodeFramePayload(b []byte) (from, to NodeID, msg Message, err error) {
-	r := payloadReader{b: b}
+// reused by the caller after return. names is the connection's table of
+// interned node and stream names, or nil to copy every name.
+func decodeFramePayload(b []byte, names map[string]string) (from, to NodeID, msg Message, err error) {
+	r := payloadReader{b: b, names: names}
 	msg.Kind = Kind(r.byte())
 	from = NodeID(r.str())
 	to = NodeID(r.str())

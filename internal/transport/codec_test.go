@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -121,6 +123,69 @@ func TestDecodeFrameRejectsElementCountOverrun(t *testing.T) {
 	buf[len(buf)-element.EncodedSize-1] = 200
 	if _, _, _, _, err := DecodeFrame(buf); err == nil {
 		t.Fatal("element-count overrun decoded")
+	}
+}
+
+// framePayload encodes msg and strips the frame's length prefix, leaving
+// what serveBinary hands decodeFramePayload.
+func framePayload(from, to NodeID, msg *Message) []byte {
+	frame := AppendFrame(nil, from, to, msg)
+	_, ln := binary.Uvarint(frame)
+	return frame[ln:]
+}
+
+// TestDecodeInternedNamesAllocations: once a connection's table holds a
+// frame's names, decoding a data frame allocates only its element array
+// and decoding an ack frame allocates nothing.
+func TestDecodeInternedNamesAllocations(t *testing.T) {
+	names := make(map[string]string)
+	for _, tc := range []struct {
+		name string
+		msg  Message
+		want float64
+	}{
+		{"data", Message{Kind: KindData, Stream: "data|job/sj1|s0", Elements: make([]element.Element, 64)}, 1},
+		{"ack", Message{Kind: KindAck, Stream: "ack|job/sj0|s0", Seq: 77}, 0},
+	} {
+		payload := framePayload("host-a", "host-b", &tc.msg)
+		if _, _, _, err := decodeFramePayload(payload, names); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			_, _, _, _ = decodeFramePayload(payload, names)
+		})
+		if got != tc.want {
+			t.Errorf("%s frame: %v allocations per decode, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestDecodeNameTableCapped: a peer that sends ever new names fills the
+// table to its cap and no further; names past the cap are copied, and
+// every frame decodes to what was sent.
+func TestDecodeNameTableCapped(t *testing.T) {
+	names := make(map[string]string)
+	decode := func(i int) {
+		t.Helper()
+		want := Message{Kind: KindData, Stream: fmt.Sprintf("data|sj|s%d", i), Elements: []element.Element{{ID: uint64(i), Seq: 1}}}
+		from, to, got, err := decodeFramePayload(framePayload("host-a", "host-b", &want), names)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if from != "host-a" || to != "host-b" || !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: %q -> %q %+v, want %+v", i, from, to, got, want)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		decode(i)
+	}
+	if len(names) != maxInternedNames {
+		t.Fatalf("table holds %d names, want %d", len(names), maxInternedNames)
+	}
+	decode(299) // not interned: copied again
+	decode(0)   // interned
+	if len(names) != maxInternedNames {
+		t.Fatalf("table grew to %d names", len(names))
 	}
 }
 

@@ -221,9 +221,11 @@ func (t *TCP) serve(conn net.Conn) {
 
 // serveBinary is the read loop for the length-prefixed binary codec. The
 // payload buffer is reused across frames; decodeFramePayload copies out
-// everything it keeps.
+// everything it keeps, and names interns the node and stream names, which
+// repeat on every frame of a connection.
 func (t *TCP) serveBinary(br *bufio.Reader) {
 	var payload []byte
+	names := make(map[string]string)
 	for {
 		size, err := binary.ReadUvarint(br)
 		if err != nil || size > maxWireFrame {
@@ -236,7 +238,7 @@ func (t *TCP) serveBinary(br *bufio.Reader) {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
-		from, to, msg, err := decodeFramePayload(payload)
+		from, to, msg, err := decodeFramePayload(payload, names)
 		if err != nil {
 			return
 		}
