@@ -77,7 +77,7 @@ func (a *Acker) run() {
 			if a.rt.Suspended() || a.rt.Machine().Crashed() {
 				continue
 			}
-			pos = a.rt.PEs()[0].ConsumedPositionsInto(pos)
+			pos = a.rt.ConsumedPositionsInto(pos)
 			a.rt.AckUpstream(pos)
 		}
 	}

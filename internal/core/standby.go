@@ -60,9 +60,17 @@ type StandbyStore struct {
 	partialSkipped int
 	lastRefresh    time.Time
 	coldBytes      uint64
-	work           chan storeReq
-	stop           chan struct{}
-	done           chan struct{}
+
+	// dec and pos belong to the run goroutine (Close's drain included):
+	// apply decodes every checkpoint into dec's values and reads the
+	// standby's positions into pos. A fold copies whatever it keeps, so
+	// neither outlives the apply that filled it.
+	dec subjob.Decoder
+	pos map[string]uint64
+
+	work chan storeReq
+	stop chan struct{}
+	done chan struct{}
 }
 
 type storeReq struct {
@@ -157,7 +165,7 @@ func (s *StandbyStore) apply(req storeReq) {
 		s.applyPartial(req)
 		return
 	}
-	snap, delta, err := subjob.DecodeCheckpoint(req.msg.State)
+	snap, delta, err := s.dec.Decode(req.msg.State)
 	if err != nil {
 		return
 	}
@@ -195,7 +203,8 @@ func (s *StandbyStore) apply(req storeReq) {
 		if !suspended {
 			return
 		}
-		if !positionsCover(ckptPos, rt.ConsumedPositions()) {
+		s.pos = rt.ConsumedPositionsInto(s.pos)
+		if !positionsCover(ckptPos, s.pos) {
 			// The checkpoint was captured before the standby's current state
 			// (a capture in flight across a rollback, which re-suspends the
 			// standby at its live — newer — positions). Applying it would
@@ -289,7 +298,8 @@ func (s *StandbyStore) applyPartial(req storeReq) {
 			if !rt.Suspended() {
 				return
 			}
-			if !positionsCover(part.Consumed, rt.ConsumedPositions()) {
+			s.pos = rt.ConsumedPositionsInto(s.pos)
+			if !positionsCover(part.Consumed, s.pos) {
 				return
 			}
 			applied = rt.ApplyPartial(part) == nil

@@ -290,3 +290,37 @@ func TestResponderDropsWhenSaturated(t *testing.T) {
 		t.Fatalf("overloaded responder answered %d of 100 pings; queue should have dropped most", got)
 	}
 }
+
+// TestHeartbeatTickAllocatesNothing: a warmed ping to a transport.Mem peer
+// allocates nothing — both stream names are built once, not per ping. The
+// peer runs no responder, so its machine drops the pings unanswered, and
+// the interval is long enough that none of them counts as missed.
+func TestHeartbeatTickAllocatesNothing(t *testing.T) {
+	net := transport.NewMem(transport.MemConfig{})
+	t.Cleanup(net.Close)
+	clk := clock.New()
+	tgt, err := machine.New("target", clk, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := machine.New("monitor", clk, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb := NewHeartbeat(HeartbeatConfig{
+		Monitor:  mon,
+		Clock:    clk,
+		Target:   tgt.ID(),
+		Session:  "t",
+		Interval: time.Hour,
+	})
+	for i := 0; i < 10; i++ {
+		hb.tick()
+	}
+	if got := testing.AllocsPerRun(100, hb.tick); got != 0 {
+		t.Errorf("a warmed tick made %v allocations, want 0", got)
+	}
+	if st := hb.Stats(); st.Sent != 111 || st.Failed {
+		t.Fatalf("stats after the ticks: %+v", st)
+	}
+}

@@ -150,6 +150,10 @@ const startupGrace = 3
 // declares recovery.
 type Heartbeat struct {
 	cfg HeartbeatConfig
+	// pingStream is the target's heartbeat stream and replyStream this
+	// detector's, named once rather than on every ping.
+	pingStream  string
+	replyStream string
 
 	mu         sync.Mutex
 	sent       uint64
@@ -173,9 +177,11 @@ func NewHeartbeat(cfg HeartbeatConfig) *Heartbeat {
 		cfg.RecoverThreshold = 1
 	}
 	return &Heartbeat{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cfg:         cfg,
+		pingStream:  subjob.HeartbeatStream(string(cfg.Target)),
+		replyStream: "hbreply|" + cfg.Session,
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 }
 
@@ -188,7 +194,7 @@ func (h *Heartbeat) Start() {
 	}
 	h.started = true
 	h.mu.Unlock()
-	h.cfg.Monitor.RegisterStream(h.replyStream(), h.onPong)
+	h.cfg.Monitor.RegisterStream(h.replyStream, h.onPong)
 	go h.run()
 }
 
@@ -206,10 +212,8 @@ func (h *Heartbeat) Stop() {
 		close(h.stop)
 	}
 	<-h.done
-	h.cfg.Monitor.UnregisterStream(h.replyStream())
+	h.cfg.Monitor.UnregisterStream(h.replyStream)
 }
-
-func (h *Heartbeat) replyStream() string { return "hbreply|" + h.cfg.Session }
 
 func (h *Heartbeat) run() {
 	defer close(h.done)
@@ -277,8 +281,8 @@ func (h *Heartbeat) tick() {
 	}
 	h.cfg.Monitor.Send(h.cfg.Target, transport.Message{
 		Kind:    transport.KindPing,
-		Stream:  subjob.HeartbeatStream(string(h.cfg.Target)),
-		Command: h.replyStream(),
+		Stream:  h.pingStream,
+		Command: h.replyStream,
 		Seq:     seq,
 	})
 }

@@ -188,10 +188,12 @@ func (p *PE) ConsumedPositionsInto(dst map[string]uint64) map[string]uint64 {
 }
 
 // SetConsumedPositions overwrites consumption positions during a restore.
+// It copies pos into the PE's own map, which no caller ever holds: the
+// ConsumedPositions methods hand out copies.
 func (p *PE) SetConsumedPositions(pos map[string]uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.consumed = make(map[string]uint64, len(pos))
+	clear(p.consumed)
 	for k, v := range pos {
 		p.consumed[k] = v
 	}

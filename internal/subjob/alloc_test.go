@@ -1,6 +1,7 @@
 package subjob
 
 import (
+	"encoding/hex"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"streamha/internal/clock"
 	"streamha/internal/element"
 	"streamha/internal/machine"
+	"streamha/internal/queue"
 	"streamha/internal/transport"
 )
 
@@ -47,6 +49,61 @@ func TestSteadyBatchAllocatesOnlyThePublishedArray(t *testing.T) {
 	}
 	if got := rt.ConsumedPositions()["in"]; got != next-1 {
 		t.Errorf("consumed %d, want %d", got, next-1)
+	}
+}
+
+// TestAppendToAllocatesNothing: encoding a snapshot, delta or partial with
+// three consumed streams into a buffer of EncodedSize makes no
+// allocation — the sorted consumed keys live on the stack — and the bytes
+// are the format's, byte for byte.
+func TestAppendToAllocatesNothing(t *testing.T) {
+	consumed := map[string]uint64{"in-b": 7, "in-a": 300, "in-c": 1 << 40}
+	cases := []struct {
+		name string
+		v    interface {
+			EncodedSize() int
+			AppendTo([]byte) []byte
+		}
+		want string
+	}{
+		{"snapshot", &Snapshot{
+			SubjobID:   "j/sj",
+			Consumed:   consumed,
+			PEStates:   [][]byte{{1, 2, 3}, {4}},
+			Pipes:      [][]element.Element{{{ID: 5, Origin: 6, Seq: 7, Payload: -8, Key: 9}}},
+			Output:     queue.OutputSnapshot{StreamID: "out", Floor: 2, NextSeq: 4, Buf: []element.Element{{ID: 3, Seq: 3}}},
+			StateUnits: 2,
+		}, "5348533201046a2f736a0304696e2d61ac0204696e2d620704696e2d63808080808020020301020301040101000000000000000500000000000000060000000000000007fffffffffffffff8000000000000000900036f75740204010000000000000003000000000000000000000000000000030000000000000000000000000000000002"},
+		{"delta", &Delta{
+			SubjobID:   "j/sj",
+			PrevSeq:    11,
+			Consumed:   consumed,
+			PEDeltas:   [][]byte{{9, 9}, nil},
+			PEFull:     [][]byte{nil, {4}},
+			Pipes:      [][]element.Element{{{ID: 6, Seq: 8}}},
+			PipeSet:    []bool{true},
+			HasOutput:  true,
+			Output:     queue.OutputDelta{StreamID: "out", Floor: 3, NextSeq: 5, FromSeq: 4, New: []element.Element{{ID: 4, Seq: 4}}},
+			StateUnits: 1,
+		}, "5348443201046a2f736a0b010304696e2d61ac0204696e2d620704696e2d638080808080200201020909020104010101000000000000000600000000000000000000000000000008000000000000000000000000000000000001036f7574030504010000000000000004000000000000000000000000000000040000000000000000000000000000000001"},
+		{"partial", &Partial{
+			SubjobID:   "j/sj",
+			Consumed:   consumed,
+			PEPatches:  [][]byte{{9, 9}, nil},
+			PEFull:     [][]byte{nil, {4}},
+			OutNext:    5,
+			ColdBytes:  100,
+			StateUnits: 1,
+		}, "5348503201046a2f736a0304696e2d61ac0204696e2d620704696e2d638080808080200564020102090902010401"},
+	}
+	for _, tc := range cases {
+		buf := make([]byte, 0, tc.v.EncodedSize())
+		if got := hex.EncodeToString(tc.v.AppendTo(buf)); got != tc.want {
+			t.Errorf("%s encodes as\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+		if got := testing.AllocsPerRun(100, func() { tc.v.AppendTo(buf[:0]) }); got != 0 {
+			t.Errorf("%s: AppendTo made %v allocations, want 0", tc.name, got)
+		}
 	}
 }
 

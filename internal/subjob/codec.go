@@ -5,7 +5,8 @@
 // every decoded PE state or patch is a capacity-clipped sub-slice of the
 // payload, which must therefore stay unmodified for as long as the decoded
 // value is in use (Snapshot.ApplyDelta copies a PE state before it first
-// patches it in place).
+// patches it in place). A Decoder also reuses the values it decodes into,
+// each valid until its next Decode.
 //
 // Layout (all integers LEB128 uvarints unless noted):
 //
@@ -23,7 +24,7 @@ package subjob
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"streamha/internal/element"
 	"streamha/internal/queue"
@@ -89,11 +90,14 @@ func appendConsumed(dst []byte, m map[string]uint64) []byte {
 	if len(m) == 0 {
 		return dst
 	}
-	keys := make([]string, 0, len(m))
+	// The keys of up to eight streams sort in a stack array: slices.Sort,
+	// unlike sort.Strings, does not box the slice into an escaping value.
+	var buf [8]string
+	keys := buf[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		dst = appendString(dst, k)
 		dst = binary.AppendUvarint(dst, m[k])
@@ -255,12 +259,40 @@ func (d *Delta) Encode() ([]byte, error) {
 	return d.AppendTo(make([]byte, 0, d.EncodedSize())), nil
 }
 
+// Decoder decodes checkpoint payloads into values it owns: one Snapshot
+// and one Delta whose slices, map, element buffers and strings every
+// Decode reuses, so a warmed decode of a sweeping checkpoint allocates
+// nothing. A decoded value is valid until the next Decode, and a Decoder
+// must not be used by two goroutines at once. PE states alias the payload
+// exactly as they do for DecodeCheckpoint.
+type Decoder struct {
+	snap  Snapshot
+	delta Delta
+	// batches[k] backs the k-th element batch of a payload. The buffers
+	// are kept apart from snap and delta, whose fields an empty batch sets
+	// to nil, so that they survive it.
+	batches  [][]element.Element
+	consumed map[string]uint64
+}
+
+// Decode parses an encoded checkpoint payload of either kind, as
+// DecodeCheckpoint does, into the decoder's own values. Legacy gob
+// payloads decode into fresh ones.
+func (d *Decoder) Decode(b []byte) (*Snapshot, *Delta, error) {
+	return decodeCheckpoint(b, d)
+}
+
 // creader is a sticky-error cursor over an encoded checkpoint, in the
 // style of the transport codec's payload reader: after the first framing
 // error every subsequent read is a no-op and the error surfaces once.
+// With a Decoder it decodes into the decoder's buffers; without one every
+// value it returns is fresh.
 type creader struct {
 	b   []byte
 	err error
+	dec *Decoder
+	// nbatch counts the element batches read so far.
+	nbatch int
 }
 
 func (r *creader) fail(format string, args ...any) {
@@ -308,7 +340,15 @@ func (r *creader) take(n uint64) []byte {
 	return out
 }
 
-func (r *creader) str() string { return string(r.take(r.uvarint())) }
+// str reads a string, returning prev rather than a copy when they are
+// equal.
+func (r *creader) str(prev string) string {
+	b := r.take(r.uvarint())
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
 
 // bytes returns a length-prefixed field as a sub-slice of the payload,
 // its capacity clipped so that growing it can never write into the bytes
@@ -322,33 +362,91 @@ func (r *creader) bytes() []byte {
 	return b[:len(b):len(b)]
 }
 
-func (r *creader) consumed() map[string]uint64 {
+// consumed reads a consumed-positions map. An empty one reads as nil
+// unless keepEmpty. With a Decoder the decoder's map is cleared and
+// refilled, and each key is one of its old keys when an equal one exists.
+func (r *creader) consumed(keepEmpty bool) map[string]uint64 {
 	n := r.uvarint()
-	if n == 0 || r.err != nil {
+	if r.err != nil || (n == 0 && !keepEmpty) {
 		return nil
 	}
-	m := make(map[string]uint64, n)
+	var m map[string]uint64
+	if r.dec != nil {
+		m = r.dec.consumed
+	}
+	// The entries are read before m is cleared, so their keys can be
+	// matched against its keys; eight streams fit on the stack.
+	type entry struct {
+		key string
+		seq uint64
+	}
+	var buf [8]entry
+	entries := buf[:0]
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := r.str()
-		m[k] = r.uvarint()
+		k := r.take(r.uvarint())
+		entries = append(entries, entry{key: keyOf(m, k), seq: r.uvarint()})
+	}
+	if r.err != nil {
+		return nil
+	}
+	if m == nil {
+		m = make(map[string]uint64, len(entries))
+		if r.dec != nil {
+			r.dec.consumed = m
+		}
+	}
+	clear(m)
+	for _, e := range entries {
+		m[e.key] = e.seq
 	}
 	return m
 }
 
+// keyOf returns k as a string: the key of m equal to it if there is one,
+// else a copy.
+func keyOf(m map[string]uint64, k []byte) string {
+	for key := range m {
+		if key == string(k) {
+			return key
+		}
+	}
+	return string(k)
+}
+
+// elems reads an element batch. With a Decoder the k-th batch of a
+// payload decodes into the decoder's k-th buffer.
 func (r *creader) elems() []element.Element {
 	n := r.uvarint()
+	var buf *[]element.Element
+	if r.dec != nil {
+		if r.nbatch == len(r.dec.batches) {
+			r.dec.batches = append(r.dec.batches, nil)
+		}
+		buf = &r.dec.batches[r.nbatch]
+		r.nbatch++
+	}
 	if n == 0 || r.err != nil {
 		return nil
 	}
-	out, rest, err := element.DecodeBatch(nil, r.b, int(n))
+	var dst []element.Element
+	if buf != nil && uint64(cap(*buf)) >= n {
+		dst = (*buf)[:0]
+	}
+	out, rest, err := element.DecodeBatch(dst, r.b, int(n))
 	if err != nil {
 		r.fail("element batch: %v", err)
 		return nil
+	}
+	if buf != nil {
+		*buf = out
 	}
 	r.b = rest
 	return out
 }
 
+// input reads the input-queue section, always into a fresh slice: only
+// synchronous and individual checkpoints carry one, and the standby
+// stores that own a Decoder receive sweeping checkpoints alone.
 func (r *creader) input() []queue.In {
 	n := r.uvarint()
 	if n == 0 || r.err != nil {
@@ -356,7 +454,7 @@ func (r *creader) input() []queue.In {
 	}
 	out := make([]queue.In, 0, n)
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		stream := r.str()
+		stream := r.str("")
 		raw := r.take(element.EncodedSize)
 		if r.err != nil {
 			break
@@ -381,60 +479,114 @@ func (r *creader) done(what string) error {
 	return nil
 }
 
-func decodeSnapshotBinary(b []byte) (*Snapshot, error) {
-	r := &creader{b: b[4:]}
-	if v := r.byte(); r.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("subjob: unknown snapshot codec version %d", v)
+// resize returns s with n zeroed elements, reusing its array when it has
+// room. Like make, it returns a non-nil slice even for n == 0.
+func resize[T any](s []T, n uint64) []T {
+	if s == nil || uint64(cap(s)) < n {
+		return make([]T, n)
 	}
-	s := &Snapshot{}
-	s.SubjobID = r.str()
-	s.Consumed = r.consumed()
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// decodeCheckpoint is DecodeCheckpoint into dec's values, or into fresh
+// ones when dec is nil.
+func decodeCheckpoint(b []byte, dec *Decoder) (*Snapshot, *Delta, error) {
+	var snap *Snapshot
+	var delta *Delta
+	if dec != nil {
+		snap, delta = &dec.snap, &dec.delta
+	}
+	switch {
+	case IsPartial(b):
+		return nil, nil, fmt.Errorf("subjob: partial checkpoint where full/delta expected (partial frames are not foldable)")
+	case IsDelta(b):
+		if delta == nil {
+			delta = &Delta{}
+		}
+		if err := decodeDelta(b, delta, dec); err != nil {
+			return nil, nil, err
+		}
+		return nil, delta, nil
+	case hasMagic(b, snapMagic):
+		if snap == nil {
+			snap = &Snapshot{}
+		}
+		if err := decodeSnapshotBinary(b, snap, dec); err != nil {
+			return nil, nil, err
+		}
+		return snap, nil, nil
+	default:
+		s, err := DecodeSnapshot(b)
+		return s, nil, err
+	}
+}
+
+// decodeSnapshotBinary decodes an SHS2 payload into s, overwriting every
+// field; dec lends the buffers when non-nil.
+func decodeSnapshotBinary(b []byte, s *Snapshot, dec *Decoder) error {
+	r := &creader{b: b[4:], dec: dec}
+	if v := r.byte(); r.err == nil && v != codecVersion {
+		return fmt.Errorf("subjob: unknown snapshot codec version %d", v)
+	}
+	s.SubjobID = r.str(s.SubjobID)
+	s.Consumed = r.consumed(false)
 	if n := r.uvarint(); n > 0 && r.err == nil {
-		s.PEStates = make([][]byte, n)
+		s.PEStates = resize(s.PEStates, n)
 		for i := range s.PEStates {
 			s.PEStates[i] = r.bytes()
 		}
+	} else {
+		s.PEStates = nil
 	}
 	if n := r.uvarint(); n > 0 && r.err == nil {
-		s.Pipes = make([][]element.Element, n)
+		s.Pipes = resize(s.Pipes, n)
 		for i := range s.Pipes {
 			s.Pipes[i] = r.elems()
 		}
+	} else {
+		s.Pipes = nil
 	}
 	s.Input = r.input()
-	s.Output.StreamID = r.str()
+	s.Output.StreamID = r.str(s.Output.StreamID)
 	s.Output.Floor = r.uvarint()
 	s.Output.NextSeq = r.uvarint()
 	s.Output.Buf = r.elems()
 	s.StateUnits = int(r.uvarint())
-	if err := r.done("snapshot"); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.owned = nil
+	return r.done("snapshot")
 }
 
 // DecodeDelta parses an encoded delta checkpoint.
 func DecodeDelta(b []byte) (*Delta, error) {
-	if !hasMagic(b, deltaMagic) {
-		return nil, fmt.Errorf("subjob: not a delta checkpoint")
-	}
-	r := &creader{b: b[4:]}
-	if v := r.byte(); r.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("subjob: unknown delta codec version %d", v)
-	}
 	d := &Delta{}
-	d.SubjobID = r.str()
+	if err := decodeDelta(b, d, nil); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// decodeDelta decodes an SHD2 payload into d, overwriting every field;
+// dec lends the buffers when non-nil.
+func decodeDelta(b []byte, d *Delta, dec *Decoder) error {
+	if !hasMagic(b, deltaMagic) {
+		return fmt.Errorf("subjob: not a delta checkpoint")
+	}
+	r := &creader{b: b[4:], dec: dec}
+	if v := r.byte(); r.err == nil && v != codecVersion {
+		return fmt.Errorf("subjob: unknown delta codec version %d", v)
+	}
+	d.SubjobID = r.str(d.SubjobID)
 	d.PrevSeq = r.uvarint()
+	d.Consumed = nil
 	if r.byte() == 1 {
-		d.Consumed = r.consumed()
-		if d.Consumed == nil && r.err == nil {
-			d.Consumed = map[string]uint64{}
-		}
+		d.Consumed = r.consumed(true)
 	}
 	nPE := r.uvarint()
 	if r.err == nil {
-		d.PEDeltas = make([][]byte, nPE)
-		d.PEFull = make([][]byte, nPE)
+		d.PEDeltas = resize(d.PEDeltas, nPE)
+		d.PEFull = resize(d.PEFull, nPE)
 		for i := uint64(0); i < nPE && r.err == nil; i++ {
 			switch kind := r.byte(); kind {
 			case peAbsent:
@@ -453,8 +605,8 @@ func DecodeDelta(b []byte) (*Delta, error) {
 	}
 	nPipes := r.uvarint()
 	if r.err == nil {
-		d.Pipes = make([][]element.Element, nPipes)
-		d.PipeSet = make([]bool, nPipes)
+		d.Pipes = resize(d.Pipes, nPipes)
+		d.PipeSet = resize(d.PipeSet, nPipes)
 		for i := uint64(0); i < nPipes && r.err == nil; i++ {
 			if r.byte() == 1 {
 				d.PipeSet[i] = true
@@ -462,23 +614,23 @@ func DecodeDelta(b []byte) (*Delta, error) {
 			}
 		}
 	}
-	if r.byte() == 1 {
-		d.HasInput = true
+	d.HasInput = r.byte() == 1
+	d.Input = nil
+	if d.HasInput {
 		d.Input = r.input()
 	}
-	if r.byte() == 1 {
-		d.HasOutput = true
-		d.Output.StreamID = r.str()
+	d.HasOutput = r.byte() == 1
+	if d.HasOutput {
+		d.Output.StreamID = r.str(d.Output.StreamID)
 		d.Output.Floor = r.uvarint()
 		d.Output.NextSeq = r.uvarint()
 		d.Output.FromSeq = r.uvarint()
 		d.Output.New = r.elems()
+	} else {
+		d.Output = queue.OutputDelta{}
 	}
 	d.StateUnits = int(r.uvarint())
-	if err := r.done("delta"); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return r.done("delta")
 }
 
 // DecodeCheckpoint parses an encoded checkpoint payload of either kind:
@@ -486,15 +638,7 @@ func DecodeDelta(b []byte) (*Delta, error) {
 // Partial (bounded-error) frames are not valid here: they never enter the
 // store fold or the durable catalog, so reaching one is a routing bug.
 func DecodeCheckpoint(b []byte) (*Snapshot, *Delta, error) {
-	if IsPartial(b) {
-		return nil, nil, fmt.Errorf("subjob: partial checkpoint where full/delta expected (partial frames are not foldable)")
-	}
-	if IsDelta(b) {
-		d, err := DecodeDelta(b)
-		return nil, d, err
-	}
-	s, err := DecodeSnapshot(b)
-	return s, nil, err
+	return decodeCheckpoint(b, nil)
 }
 
 // CheckpointInfo describes an encoded checkpoint payload: enough to index
@@ -519,7 +663,7 @@ func PeekCheckpoint(b []byte) (CheckpointInfo, error) {
 		if v := r.byte(); r.err == nil && v != codecVersion {
 			return CheckpointInfo{}, fmt.Errorf("subjob: unknown snapshot codec version %d", v)
 		}
-		id := r.str()
+		id := r.str("")
 		if r.err != nil {
 			return CheckpointInfo{}, r.err
 		}
@@ -529,7 +673,7 @@ func PeekCheckpoint(b []byte) (CheckpointInfo, error) {
 		if v := r.byte(); r.err == nil && v != codecVersion {
 			return CheckpointInfo{}, fmt.Errorf("subjob: unknown delta codec version %d", v)
 		}
-		id := r.str()
+		id := r.str("")
 		prev := r.uvarint()
 		if r.err != nil {
 			return CheckpointInfo{}, r.err
@@ -540,7 +684,7 @@ func PeekCheckpoint(b []byte) (CheckpointInfo, error) {
 		if v := r.byte(); r.err == nil && v != codecVersion {
 			return CheckpointInfo{}, fmt.Errorf("subjob: unknown partial codec version %d", v)
 		}
-		id := r.str()
+		id := r.str("")
 		if r.err != nil {
 			return CheckpointInfo{}, r.err
 		}

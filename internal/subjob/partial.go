@@ -110,8 +110,8 @@ func DecodePartial(b []byte) (*Partial, error) {
 		return nil, fmt.Errorf("subjob: unknown partial codec version %d", v)
 	}
 	p := &Partial{}
-	p.SubjobID = r.str()
-	p.Consumed = r.consumed()
+	p.SubjobID = r.str("")
+	p.Consumed = r.consumed(false)
 	p.OutNext = r.uvarint()
 	p.ColdBytes = r.uvarint()
 	nPE := r.uvarint()

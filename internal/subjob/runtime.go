@@ -741,6 +741,12 @@ func (r *Runtime) ConsumedPositions() map[string]uint64 {
 	return r.pes[0].ConsumedPositions()
 }
 
+// ConsumedPositionsInto is ConsumedPositions writing into dst (see
+// pe.PE.ConsumedPositionsInto).
+func (r *Runtime) ConsumedPositionsInto(dst map[string]uint64) map[string]uint64 {
+	return r.pes[0].ConsumedPositionsInto(dst)
+}
+
 // Backlog returns the number of elements queued but not yet processed
 // inside the copy: input queue plus inter-PE pipes.
 func (r *Runtime) Backlog() int {

@@ -112,7 +112,11 @@ func (s *Snapshot) EncodeGob() ([]byte, error) {
 // falls through to gob.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if hasMagic(b, snapMagic) {
-		return decodeSnapshotBinary(b)
+		s := &Snapshot{}
+		if err := decodeSnapshotBinary(b, s, nil); err != nil {
+			return nil, err
+		}
+		return s, nil
 	}
 	if hasMagic(b, deltaMagic) {
 		return nil, fmt.Errorf("subjob: delta checkpoint where full snapshot expected")
