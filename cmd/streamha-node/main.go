@@ -494,7 +494,7 @@ func run(configPath, process string, opts nodeOptions) error {
 				// acker — upstream acknowledgments then flow only after the
 				// checkpoint covering them is persisted, so a cold restart
 				// never finds upstream trimmed past what it can restore.
-				store := checkpoint.NewStoreWith(m, specs[i].ID, checkpoint.StoreOptions{
+				store := checkpoint.NewStore(m, specs[i].ID, &checkpoint.Image{}, checkpoint.StoreOptions{
 					Catalog:    cat,
 					CatalogKey: catKey,
 				})

@@ -1,6 +1,6 @@
 // The checkpoint catalog: sequence-chained full + delta history per
 // subjob on top of a pluggable Backend, with retention by count and age.
-// It mirrors the fold logic of Store and core.StandbyStore — a delta is
+// It mirrors the chain rule of Store, whatever its target — a delta is
 // meaningful only relative to the entry whose sequence equals its
 // PrevSeq — so a catalog restore replays exactly the chain a standby
 // would have folded in memory, but from durable storage after a cold

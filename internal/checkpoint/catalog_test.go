@@ -392,7 +392,7 @@ func TestStorePersistsBeforeAck(t *testing.T) {
 	r := newRig(t, InMemory)
 	fb := &flakyBackend{Backend: NewMemBackend()}
 	cat := NewCatalog(fb, Retention{})
-	store := NewStoreWith(r.secM, "j/sj2", StoreOptions{Catalog: cat})
+	store := NewStore(r.secM, "j/sj2", &Image{}, StoreOptions{Catalog: cat})
 	t.Cleanup(store.Close)
 
 	// The rig's default store listens on j/sj; run a second runtime for
@@ -476,7 +476,7 @@ func TestStoreCloseDrainsPendingCheckpoints(t *testing.T) {
 		r.upM.RegisterStream(subjob.CkptAckStream(sjID), func(_ transport.NodeID, msg transport.Message) {
 			acks <- msg.Seq
 		})
-		s := NewStore(r.secM, sjID, InMemory, 0)
+		s := NewStore(r.secM, sjID, &Image{}, StoreOptions{})
 
 		const n = 8
 		for seq := uint64(1); seq <= n; seq++ {
@@ -491,14 +491,14 @@ func TestStoreCloseDrainsPendingCheckpoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Inject directly into the accepted backlog, as the transport
-			// handler would after accepting delivery.
-			s.work <- storeReq{from: r.upM.ID(), msg: transport.Message{
+			// Queue directly through the store's handler, as the transport
+			// would deliver it.
+			s.receive(r.upM.ID(), transport.Message{
 				Kind:   transport.KindControl,
 				Stream: subjob.CkptStream(sjID),
 				Seq:    seq,
 				State:  payload,
-			}}
+			})
 		}
 		s.Close()
 

@@ -61,7 +61,7 @@ func newRig(t *testing.T, backend StoreBackend) *rig {
 	t.Cleanup(rt.Stop)
 
 	r := &rig{net: net, clk: clk, priM: priM, secM: secM, upM: upM, rt: rt, acks: make(chan uint64, 64)}
-	r.store = NewStore(secM, spec.ID, backend, 0)
+	r.store = NewStore(secM, spec.ID, &Image{}, StoreOptions{Backend: backend})
 	t.Cleanup(r.store.Close)
 	upM.RegisterStream(subjob.AckStream("up", "in"), func(_ transport.NodeID, msg transport.Message) {
 		r.acks <- msg.Seq

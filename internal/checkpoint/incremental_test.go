@@ -135,7 +135,7 @@ func newStoreHarnessWith(t *testing.T, opts StoreOptions) *storeHarness {
 		t.Fatal(err)
 	}
 	h := &storeHarness{pri: pri, sec: sec, acks: make(chan uint64, 64)}
-	h.store = NewStoreWith(sec, "j/sj", opts)
+	h.store = NewStore(sec, "j/sj", &Image{}, opts)
 	t.Cleanup(h.store.Close)
 	pri.RegisterStream(subjob.CkptAckStream("j/sj"), func(_ transport.NodeID, msg transport.Message) {
 		h.acks <- msg.Seq
@@ -263,40 +263,50 @@ func TestStoreFoldsDeltasAndDropsBrokenChains(t *testing.T) {
 	}
 }
 
-// TestStoreOutOfOrderBatch: a coalesced backlog holding [delta, full,
-// delta] out of order folds correctly — the store sorts by sequence and
-// re-bases on the newest full.
-func TestStoreOutOfOrderBatch(t *testing.T) {
+// TestStoreDropsOutOfOrderDelta: the store folds one checkpoint at a time
+// in arrival order, so a delta that arrives before its predecessor does
+// not extend the chain — it is dropped without an acknowledgment and
+// reported as a chain break — and the next full re-bases. Acks travel in
+// fold order, so an ack for a later checkpoint proves none came for the
+// dropped one.
+func TestStoreDropsOutOfOrderDelta(t *testing.T) {
 	h := newStoreHarness(t)
-	base := make([]byte, 8)
-
-	// Stall the store's worker behind a first message so the next three
-	// coalesce into one batch. Sending is async; just fire them
-	// back-to-back — the single worker drains them together more often
-	// than not, and the protocol must be correct either way.
-	h.send(t, 1, encFull(t, 1, base))
-	h.send(t, 3, encDelta(t, 2, 3, 8, 0, []byte{0x33}))
-	h.send(t, 2, encFull(t, 2, base))
-	h.send(t, 4, encDelta(t, 3, 4, 8, 1, []byte{0x44}))
-
-	got := map[uint64]bool{}
-	for i := 0; i < 4; i++ {
+	breaks := make(chan struct{}, 4)
+	h.store.SetOnChainBreak(func() { breaks <- struct{}{} })
+	expectBreak := func() {
+		t.Helper()
 		select {
-		case seq := <-h.acks:
-			got[seq] = true
+		case <-breaks:
 		case <-time.After(2 * time.Second):
-			t.Fatalf("acked %v, missing the rest", got)
+			t.Fatal("no chain break reported")
 		}
 	}
-	snap, ok := h.store.Latest()
-	if !ok {
-		t.Fatal("store holds nothing")
+	base := make([]byte, 8)
+
+	h.send(t, 1, encFull(t, 1, base))
+	h.expectAck(t, 1)
+	h.send(t, 3, encDelta(t, 2, 3, 8, 0, []byte{0x33})) // ahead of 2
+	h.send(t, 2, encFull(t, 2, base))
+	expectBreak()
+	h.expectAck(t, 2)
+	if snap, _ := h.store.Latest(); snap.Consumed["in"] != 2 || snap.PEStates[0][0] != 0 {
+		t.Fatalf("image after the re-base: consumed %v, state %v", snap.Consumed, snap.PEStates[0])
 	}
-	if snap.Consumed["in"] != 4 {
-		t.Fatalf("final consumed %v", snap.Consumed)
+
+	// 3 was never folded, so a delta on it is dropped too; 5 re-bases again.
+	h.send(t, 4, encDelta(t, 3, 4, 8, 1, []byte{0x44}))
+	h.send(t, 5, encFull(t, 5, base))
+	expectBreak()
+	h.expectAck(t, 5)
+	h.send(t, 6, encDelta(t, 5, 6, 8, 1, []byte{0x66}))
+	h.expectAck(t, 6)
+
+	snap, _ := h.store.Latest()
+	if snap.Consumed["in"] != 6 || snap.PEStates[0][0] != 0 || snap.PEStates[0][1] != 0x66 {
+		t.Fatalf("final image: consumed %v, state %v", snap.Consumed, snap.PEStates[0])
 	}
-	if snap.PEStates[0][0] != 0x33 || snap.PEStates[0][1] != 0x44 {
-		t.Fatalf("final state %v", snap.PEStates[0])
+	if st := h.store.Stats(); st.Fulls != 3 || st.DeltaFolds != 1 || st.DeltaDrops != 2 || st.Stored != 4 {
+		t.Fatalf("final stats: %+v", st)
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 	"streamha/internal/transport"
 )
 
-// TestStoreBatchedFoldPersistsPristineFull: the store folds a batch's
-// deltas into the decoded full BEFORE it hands the full's payload to the
-// catalog, and the decoded full aliases that payload. The fold must
-// therefore not write through it: the cataloged full restores to its
-// pre-fold state, the delta on top of it to the folded one.
-func TestStoreBatchedFoldPersistsPristineFull(t *testing.T) {
+// TestStoreFoldPersistsPristineFull: the image keeps the decoded full,
+// which aliases the payload the store handed to the catalog, and folds the
+// next delta into it. The fold must therefore not write through it: the
+// payload stays as sent, the cataloged full restores to its pre-fold
+// state, the delta on top of it to the folded one.
+func TestStoreFoldPersistsPristineFull(t *testing.T) {
 	cat := NewCatalog(NewMemBackend(), Retention{})
 	h := newStoreHarnessWith(t, StoreOptions{Catalog: cat})
 
@@ -28,12 +28,9 @@ func TestStoreBatchedFoldPersistsPristineFull(t *testing.T) {
 	}
 	full := encFull(t, 10, base)
 	sent := append([]byte(nil), full...)
-	// One batch, handed to the fold directly: through the transport the two
-	// messages coalesce only when the worker happens to be behind.
-	h.store.store([]storeReq{
-		{from: h.pri.ID(), msg: transport.Message{Seq: 1, State: full}},
-		{from: h.pri.ID(), msg: transport.Message{Seq: 2, State: encDelta(t, 1, 20, 16, 4, []byte{0xAA, 0xBB})}},
-	})
+	h.store.Close() // fold directly, one message after the other
+	h.store.Fold(h.pri.ID(), transport.Message{Seq: 1, State: full})
+	h.store.Fold(h.pri.ID(), transport.Message{Seq: 2, State: encDelta(t, 1, 20, 16, 4, []byte{0xAA, 0xBB})})
 	h.expectAck(t, 1)
 	h.expectAck(t, 2)
 
@@ -151,7 +148,7 @@ func TestNoCaptureBufferReuseInFlight(t *testing.T) {
 func TestFullCheckpointAllocationBudget(t *testing.T) {
 	const sj = "j/budget"
 	r, rt := bigStateRig(t, sj, 4096) // 160 kB of pad
-	store := NewStore(r.secM, sj, InMemory, 0)
+	store := NewStore(r.secM, sj, &Image{}, StoreOptions{})
 	t.Cleanup(store.Close)
 	cm := NewSweeping(Config{Runtime: rt, Clock: r.clk, Interval: time.Hour, StoreNode: r.secM.ID(),
 		Costs: Costs{Disabled: true}})

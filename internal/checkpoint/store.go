@@ -1,7 +1,7 @@
 package checkpoint
 
 import (
-	"sort"
+	"errors"
 	"sync"
 	"time"
 
@@ -17,7 +17,7 @@ const (
 	// InMemory refreshes the state directly in memory — the hybrid method's
 	// choice, avoiding disk I/O on the critical path.
 	InMemory StoreBackend = iota
-	// SimulatedDisk pads every store operation with a disk-write latency,
+	// SimulatedDisk pads every store operation with DefaultDiskLatency,
 	// modeling a conventional persistent store.
 	SimulatedDisk
 )
@@ -26,43 +26,87 @@ const (
 // at the experiments' one-tenth timescale.
 const DefaultDiskLatency = 800 * time.Microsecond
 
-// Store holds the latest checkpoint of one subjob on a secondary machine
-// and confirms each stored checkpoint back to the checkpoint manager.
-// Passive standby reads the stored snapshot when deploying a recovery
-// copy.
-//
-// Checkpoints may be full snapshots or deltas chained by sequence number.
-// The store folds each delta into its current image, advancing the chain
-// one sequence at a time; a delta that does not extend the chain is
-// dropped WITHOUT acknowledgment — acknowledging it would let upstream
-// trim data the store cannot actually recover — and the manager rebases
-// with a full snapshot once its pending window grows. When checkpoints
-// arrive faster than they can be decoded, the backlog is coalesced: the
-// newest full snapshot re-bases the image, older fulls and subsumed
-// deltas are skipped, and every checkpoint the final image covers is
-// acknowledged.
-type Store struct {
-	m           *machine.Machine
-	sjID        string
-	ackStream   string // subjob.CkptAckStream(sjID)
-	backend     StoreBackend
-	diskLatency time.Duration
-	catalog     *Catalog
-	catKey      string
+// Outcome is what a Target made of one checkpoint a Store handed it.
+type Outcome int
 
-	mu           sync.Mutex
-	latest       *subjob.Snapshot
-	seq          uint64
-	persistedSeq uint64
+const (
+	// Folded: the target now holds the checkpoint's state.
+	Folded Outcome = iota
+	// Covered: the target already holds newer state than the checkpoint (a
+	// standby re-suspended at its live positions by a rollback). The
+	// checkpoint is acknowledged without a fold.
+	Covered
+	// Superseded: the target runs live (an activated standby). A full
+	// checkpoint is acknowledged without a fold; a delta is not.
+	Superseded
+	// Failed: the fold failed and may have left the target part-way. The
+	// checkpoint is dropped without an acknowledgment.
+	Failed
+)
+
+// Target is the state a Store folds a subjob's checkpoints into: an Image
+// a recovery copy is deployed from, or a pre-deployed suspended standby
+// refreshed in memory. The Store calls it from one goroutine, one
+// checkpoint at a time.
+type Target interface {
+	// Decode parses a full or delta payload. The values may belong to the
+	// target and be valid only until its next Decode.
+	Decode(payload []byte) (*subjob.Snapshot, *subjob.Delta, error)
+	// Apply folds a full snapshot, or a delta the Store has checked extends
+	// the checkpoint the target last folded.
+	Apply(snap *subjob.Snapshot, d *subjob.Delta) Outcome
+	// ApplyPartial folds an unchained bounded-error frame. An error leaves
+	// the frame unacknowledged; applied=false acknowledges it unfolded.
+	ApplyPartial(seq uint64, payload []byte) (applied bool, err error)
+}
+
+// Store is the one receiver of a subjob's checkpoint stream on the machine
+// that keeps its standby state. It folds every checkpoint into its Target,
+// one at a time and in arrival order, and confirms it back to the
+// checkpoint manager.
+//
+// Checkpoints are full snapshots, deltas chained by sequence number, or
+// unchained partial frames. A delta is folded only when it extends the
+// chain — its PrevSeq is the checkpoint the target last folded and nothing
+// broke the chain since. A delta that does not is dropped WITHOUT
+// acknowledgment — acknowledging it would let upstream trim data the
+// target does not hold — and reported through SetOnChainBreak so the
+// manager re-bases with a full snapshot. A checkpoint below an intact
+// chain is covered by the chain's head and is acknowledged as it stands.
+//
+// With a catalog the store is durable: every other checkpoint it
+// acknowledges, partial frames excepted, is persisted first. A failed
+// persist withholds the acknowledgment and breaks the chain, so upstream
+// never trims data the catalog cannot recover.
+type Store struct {
+	m         *machine.Machine
+	sjID      string
+	ackStream string // subjob.CkptAckStream(sjID)
+	target    Target
+	backend   StoreBackend
+	catalog   *Catalog
+	catKey    string
+
+	mu sync.Mutex
+	// chain is the sequence number of the checkpoint the target last
+	// folded; linked reports that nothing has broken the chain since.
+	chain        uint64
+	linked       bool
+	durable      uint64
 	stored       int
 	fulls        int
 	deltaFolds   int
 	deltaDrops   int
-	lastUnits    int
+	skipped      int
 	onChainBreak func()
-	work         chan storeReq
-	stop         chan struct{}
-	done         chan struct{}
+
+	// work is buffered so that the machine's one dispatch goroutine, which
+	// every stream on the machine shares, hands a checkpoint over without
+	// waiting for the fold in progress: 128 queued checkpoints are over a
+	// second of sweeps at the default 10 ms interval.
+	work chan storeReq
+	stop chan struct{}
+	done chan struct{}
 }
 
 type storeReq struct {
@@ -70,17 +114,13 @@ type storeReq struct {
 	msg  transport.Message
 }
 
-// StoreOptions configures a Store beyond its hosting machine and subjob.
+// StoreOptions configures a Store beyond its machine, subjob and target.
 type StoreOptions struct {
 	// Backend selects the simulated persistence model (InMemory or
 	// SimulatedDisk).
 	Backend StoreBackend
-	// DiskLatency overrides the SimulatedDisk write latency (0: default).
-	DiskLatency time.Duration
-	// Catalog, when non-nil, makes the store durable: every checkpoint
-	// that advances the chain is persisted through the catalog before it
-	// is acknowledged, so upstream never trims data the catalog cannot
-	// recover after a cold restart.
+	// Catalog, when non-nil, makes the store durable: every checkpoint is
+	// persisted through the catalog before it is acknowledged.
 	Catalog *Catalog
 	// CatalogKey overrides the catalog key (default: the subjob ID). A
 	// deployment hosting several copies of one subjob keys each copy as
@@ -88,261 +128,199 @@ type StoreOptions struct {
 	CatalogKey string
 }
 
-// NewStore creates and starts a store for subjob sjID on machine m.
-func NewStore(m *machine.Machine, sjID string, backend StoreBackend, diskLatency time.Duration) *Store {
-	return NewStoreWith(m, sjID, StoreOptions{Backend: backend, DiskLatency: diskLatency})
-}
-
-// NewStoreWith creates and starts a store for subjob sjID on machine m
-// with the given options.
-func NewStoreWith(m *machine.Machine, sjID string, opts StoreOptions) *Store {
-	if opts.DiskLatency <= 0 {
-		opts.DiskLatency = DefaultDiskLatency
-	}
+// NewStore creates and starts a store for subjob sjID on machine m that
+// folds every checkpoint into target.
+func NewStore(m *machine.Machine, sjID string, target Target, opts StoreOptions) *Store {
 	if opts.CatalogKey == "" {
 		opts.CatalogKey = sjID
 	}
 	s := &Store{
-		m:           m,
-		sjID:        sjID,
-		ackStream:   subjob.CkptAckStream(sjID),
-		backend:     opts.Backend,
-		diskLatency: opts.DiskLatency,
-		catalog:     opts.Catalog,
-		catKey:      opts.CatalogKey,
-		work:        make(chan storeReq, 128),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		m:         m,
+		sjID:      sjID,
+		ackStream: subjob.CkptAckStream(sjID),
+		target:    target,
+		backend:   opts.Backend,
+		catalog:   opts.Catalog,
+		catKey:    opts.CatalogKey,
+		work:      make(chan storeReq, 128),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
-	m.RegisterStream(subjob.CkptStream(sjID), func(from transport.NodeID, msg transport.Message) {
-		select {
-		case s.work <- storeReq{from: from, msg: msg}:
-		case <-s.stop:
-		}
-	})
+	m.RegisterStream(subjob.CkptStream(sjID), s.receive)
 	go s.run()
 	return s
 }
 
+// receive is the checkpoint-stream handler: it queues the message for the
+// store goroutine.
+func (s *Store) receive(from transport.NodeID, msg transport.Message) {
+	select {
+	case s.work <- storeReq{from: from, msg: msg}:
+	case <-s.stop:
+	}
+}
+
 func (s *Store) run() {
 	defer close(s.done)
-	// batch is the drained backlog, recycled between rounds.
-	var batch []storeReq
 	for {
 		select {
 		case <-s.stop:
 			// Shutdown fence: checkpoints already queued were accepted from
 			// the transport and their senders may be waiting on the
-			// acknowledgments; returning without storing them would drop
+			// acknowledgments; returning without folding them would drop
 			// acks that Close's caller believes are settled. Close
 			// unregisters the handler before closing stop, so this drain
 			// observes the final backlog.
-			batch = batch[:0]
 			for {
 				select {
 				case req := <-s.work:
-					batch = append(batch, req)
+					s.Fold(req.from, req.msg)
 				default:
-					if len(batch) > 0 {
-						s.store(batch)
-					}
 					return
 				}
 			}
 		case req := <-s.work:
-			batch = append(batch[:0], req)
-		drain:
-			for {
-				select {
-				case more := <-s.work:
-					batch = append(batch, more)
-				default:
-					break drain
-				}
-			}
-			s.store(batch)
-			for i := range batch {
-				batch[i] = storeReq{}
-			}
+			s.Fold(req.from, req.msg)
 		}
 	}
 }
 
-func (s *Store) store(batch []storeReq) {
-	// Fold in sequence order; the shipper sends in capture order but a
-	// coalesced backlog is easier to reason about sorted.
-	sort.Slice(batch, func(i, j int) bool { return batch[i].msg.Seq < batch[j].msg.Seq })
-
-	s.mu.Lock()
-	chain := s.seq
-	s.mu.Unlock()
-
-	// The newest full snapshot that advances the chain re-bases the image;
-	// older fulls and the deltas it subsumes are never decoded.
-	fullIdx := -1
-	for i := range batch {
-		if batch[i].msg.Seq > chain && !subjob.IsDelta(batch[i].msg.State) {
-			fullIdx = i
-		}
-	}
-	var newFull *subjob.Snapshot
-	baseSeq := chain
-	if fullIdx >= 0 {
-		if snap, err := subjob.DecodeSnapshot(batch[fullIdx].msg.State); err == nil {
-			newFull = snap
-			baseSeq = batch[fullIdx].msg.Seq
-		}
-	}
-	type seqDelta struct {
-		seq     uint64
-		d       *subjob.Delta
-		payload []byte
-	}
-	var deltas []seqDelta
-	for i := range batch {
-		m := &batch[i].msg
-		if m.Seq <= baseSeq || !subjob.IsDelta(m.State) {
-			continue
-		}
-		if d, err := subjob.DecodeDelta(m.State); err == nil {
-			deltas = append(deltas, seqDelta{seq: m.Seq, d: d, payload: m.State})
-		}
-	}
-
+// Fold runs one checkpoint message through the store: chain check, fold
+// into the target, persist, acknowledgment. The store's goroutine calls it
+// for every message the handler queues; anyone else may call it only on a
+// closed store, whose goroutine has exited.
+func (s *Store) Fold(from transport.NodeID, msg transport.Message) {
 	if s.backend == SimulatedDisk {
-		s.m.CPU().Execute(s.diskLatency)
+		s.m.CPU().Execute(DefaultDiskLatency)
 	}
-
-	// toPersist records, in chain order, the raw payload of every
-	// checkpoint that advances the in-memory chain; with a catalog
-	// attached these must become durable before their acknowledgments go
-	// out.
-	type persistItem struct {
-		seq     uint64
-		units   int
-		payload []byte
+	if subjob.IsPartial(msg.State) {
+		applied, err := s.target.ApplyPartial(msg.Seq, msg.State)
+		if err != nil {
+			return
+		}
+		if applied {
+			// A partial patches the state out of band of the delta chain:
+			// a delta captured against the pre-partial base no longer folds.
+			s.mu.Lock()
+			s.linked = false
+			s.mu.Unlock()
+		}
+		s.ack(from, msg.Seq)
+		return
 	}
-	var toPersist []persistItem
-
 	s.mu.Lock()
-	dropsBefore := s.deltaDrops
-	if newFull != nil {
-		s.latest = newFull
-		chain = baseSeq
-		s.fulls++
-		if s.catalog != nil {
-			toPersist = append(toPersist, persistItem{baseSeq, newFull.ElementUnits(), batch[fullIdx].msg.State})
-		}
-	}
-	for _, sd := range deltas {
-		if s.latest == nil || sd.d.PrevSeq != chain {
-			s.deltaDrops++
-			continue
-		}
-		units := sd.d.ElementUnits()
-		payload := sd.payload
-		if err := s.latest.ApplyDelta(sd.d); err != nil {
-			// The image may be partially folded; the chain stays put so the
-			// manager's next full snapshot re-bases it.
-			s.deltaDrops++
-			continue
-		}
-		chain = sd.seq
-		s.deltaFolds++
-		if s.catalog != nil {
-			toPersist = append(toPersist, persistItem{sd.seq, units, payload})
-		}
-	}
-	dropped := s.deltaDrops > dropsBefore
-	onChainBreak := s.onChainBreak
-	advanced := chain > s.seq
-	s.seq = chain
-	if advanced && s.latest != nil {
-		s.lastUnits = s.latest.ElementUnits()
-	}
-	durable := s.persistedSeq
+	chain, linked := s.chain, s.linked
 	s.mu.Unlock()
+	if linked && msg.Seq < chain {
+		// Already covered: the chain's head was folded and persisted.
+		s.ack(from, msg.Seq)
+		return
+	}
+	snap, delta, err := s.target.Decode(msg.State)
+	if err != nil {
+		return
+	}
+	if delta != nil && (!linked || delta.PrevSeq != chain) {
+		s.mu.Lock()
+		s.deltaDrops++
+		s.mu.Unlock()
+		s.chainBreak()
+		return
+	}
+	out := s.target.Apply(snap, delta)
+	s.mu.Lock()
+	switch {
+	case out == Folded && delta != nil:
+		s.deltaFolds++
+	case out == Folded:
+		s.fulls++
+	case out == Failed && delta != nil:
+		s.deltaDrops++
+	default:
+		s.skipped++
+	}
+	s.linked = out == Folded
+	if s.linked {
+		s.chain = msg.Seq
+	}
+	s.mu.Unlock()
+	if out == Failed {
+		s.chainBreak()
+		return
+	}
+	if out == Superseded && delta != nil {
+		return
+	}
 
-	// Persist-before-ack: advance the durable watermark through the folded
-	// chain in order. The first failed write stops it — the in-memory
-	// image is ahead of the catalog then, acknowledgments are withheld at
-	// the durable watermark, and the chain break forces the manager's next
-	// checkpoint full, which re-bases the catalog and self-heals the gap.
-	persistFailed := false
-	ackCeil := chain
 	if s.catalog != nil {
-		for _, it := range toPersist {
-			if err := s.catalog.Put(s.catKey, it.seq, it.units, it.payload); err != nil {
-				persistFailed = true
-				break
-			}
-			durable = it.seq
+		units := 0
+		if delta != nil {
+			units = delta.ElementUnits()
+		} else {
+			units = snap.ElementUnits()
+		}
+		if err := s.catalog.Put(s.catKey, msg.Seq, units, msg.State); err != nil {
+			s.mu.Lock()
+			s.linked = false
+			s.mu.Unlock()
+			s.chainBreak()
+			return
 		}
 		s.mu.Lock()
-		if durable > s.persistedSeq {
-			s.persistedSeq = durable
-		}
+		s.durable = msg.Seq
 		s.mu.Unlock()
-		ackCeil = durable
 	}
+	s.ack(from, msg.Seq)
+}
 
-	accepted := 0
-	for i := range batch {
-		if batch[i].msg.Seq <= ackCeil {
-			accepted++
-		}
-	}
+// ack confirms checkpoint seq to the manager that shipped it.
+func (s *Store) ack(to transport.NodeID, seq uint64) {
 	s.mu.Lock()
-	s.stored += accepted
+	s.stored++
 	s.mu.Unlock()
+	s.m.Send(to, transport.Message{
+		Kind:    transport.KindControl,
+		Stream:  s.ackStream,
+		Command: "ckpt-stored",
+		Seq:     seq,
+	})
+}
 
-	if (dropped || persistFailed) && onChainBreak != nil {
-		onChainBreak()
-	}
-
-	for i := range batch {
-		if batch[i].msg.Seq > ackCeil {
-			// Unfoldable, undecodable or unpersisted checkpoint: no
-			// acknowledgment, so upstream keeps the data it would have
-			// trimmed.
-			continue
-		}
-		s.m.Send(batch[i].from, transport.Message{
-			Kind:    transport.KindControl,
-			Stream:  s.ackStream,
-			Command: "ckpt-stored",
-			Seq:     batch[i].msg.Seq,
-		})
+func (s *Store) chainBreak() {
+	s.mu.Lock()
+	fn := s.onChainBreak
+	s.mu.Unlock()
+	if fn != nil {
+		fn()
 	}
 }
 
-// Latest returns a copy of the most recent stored snapshot, or false if
-// none. The copy is the caller's: delta folds mutate the stored image in
-// place, so handing out the internal pointer would race with them.
-// SimulatedDisk stores pay a read latency.
+// Latest returns a copy of the snapshot an Image target holds, or false
+// when it holds none or the target is not an Image. SimulatedDisk stores
+// pay a read latency.
 func (s *Store) Latest() (*subjob.Snapshot, bool) {
-	if s.backend == SimulatedDisk {
-		s.m.CPU().Execute(s.diskLatency)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.latest == nil {
+	im, ok := s.target.(*Image)
+	if !ok {
 		return nil, false
 	}
-	return s.latest.Clone(), true
+	if s.backend == SimulatedDisk {
+		s.m.CPU().Execute(DefaultDiskLatency)
+	}
+	return im.snapshot()
 }
 
 // SetOnChainBreak installs a callback invoked (from the store goroutine)
-// whenever a delta is dropped because it did not extend the chain. The HA
-// lifecycle uses it to force the manager's next checkpoint full instead of
-// waiting for the pending-window heuristic.
+// whenever a delta is dropped because it did not extend the chain, a fold
+// fails or a persist fails. The HA lifecycle uses it to force the
+// manager's next checkpoint full instead of waiting for the pending-window
+// heuristic.
 func (s *Store) SetOnChainBreak(fn func()) {
 	s.mu.Lock()
 	s.onChainBreak = fn
 	s.mu.Unlock()
 }
 
-// Stored returns the number of checkpoints accepted (acknowledged).
+// Stored returns the number of checkpoints acknowledged.
 func (s *Store) Stored() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -355,36 +333,37 @@ type StoreStats struct {
 	Subjob    string `json:"subjob"`
 	Stored    int    `json:"stored"`
 	LatestSeq uint64 `json:"latest_seq"`
-	LastUnits int    `json:"last_size_units"`
 	// Fulls counts full-snapshot re-bases; DeltaFolds counts deltas folded
-	// into the image; DeltaDrops counts deltas dropped unacknowledged
-	// because they did not extend the chain.
+	// into the target; DeltaDrops counts deltas dropped unacknowledged
+	// because they did not extend the chain or failed to fold; Skipped
+	// counts the other checkpoints the target did not fold: its own state
+	// was newer or live, or a full failed to restore.
 	Fulls      int `json:"fulls_stored"`
 	DeltaFolds int `json:"delta_folds"`
 	DeltaDrops int `json:"delta_drops"`
+	Skipped    int `json:"skipped"`
 	// Catalog activity, populated only when the store persists through a
-	// catalog: DurableSeq is the durable watermark (acknowledgments never
-	// pass it), Persisted/PersistErrors/GCRemoved count catalog writes,
-	// failed writes, and retention removals.
+	// catalog: DurableSeq is the newest persisted checkpoint,
+	// Persisted/PersistErrors/GCRemoved count catalog writes, failed
+	// writes, and retention removals.
 	DurableSeq    uint64 `json:"durable_seq,omitempty"`
 	Persisted     int    `json:"persisted,omitempty"`
 	PersistErrors int    `json:"persist_errors,omitempty"`
 	GCRemoved     int    `json:"gc_removed,omitempty"`
 }
 
-// Stats captures how many checkpoints the store has taken in and the size
-// of the latest one, in element units.
+// Stats captures the store's counters.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	st := StoreStats{
 		Subjob:     s.sjID,
 		Stored:     s.stored,
-		LatestSeq:  s.seq,
-		LastUnits:  s.lastUnits,
+		LatestSeq:  s.chain,
 		Fulls:      s.fulls,
 		DeltaFolds: s.deltaFolds,
 		DeltaDrops: s.deltaDrops,
-		DurableSeq: s.persistedSeq,
+		Skipped:    s.skipped,
+		DurableSeq: s.durable,
 	}
 	s.mu.Unlock()
 	if s.catalog != nil {
@@ -398,10 +377,10 @@ func (s *Store) Stats() StoreStats {
 
 // Close stops the store and unregisters its handler. The handler is
 // unregistered FIRST, so no new checkpoints enter the work queue after
-// stop closes; run() then drains and stores what is already queued
-// before exiting. The previous order (stop first, unregister after)
-// raced: a handler delivery between the two could be accepted into the
-// queue and silently dropped — its sender never saw the acknowledgment.
+// stop closes; run() then drains and folds what is already queued before
+// exiting. The reverse order raced: a handler delivery between the two
+// could be accepted into the queue and silently dropped — its sender
+// never saw the acknowledgment.
 func (s *Store) Close() {
 	select {
 	case <-s.stop:
@@ -411,4 +390,52 @@ func (s *Store) Close() {
 	s.m.UnregisterStream(subjob.CkptStream(s.sjID))
 	close(s.stop)
 	<-s.done
+}
+
+// Image is the Target a recovery copy is deployed from (passive standby,
+// hybrid without pre-deployment, durable streamha-node copies): the newest
+// full snapshot with every delta that extends it folded in. The zero value
+// is an empty image.
+type Image struct {
+	mu     sync.Mutex
+	latest *subjob.Snapshot
+}
+
+// Decode decodes into fresh values: the image keeps a full snapshot, which
+// aliases its payload, and folds deltas into it in place (DESIGN §11,
+// rule 3).
+func (im *Image) Decode(payload []byte) (*subjob.Snapshot, *subjob.Delta, error) {
+	return subjob.DecodeCheckpoint(payload)
+}
+
+// Apply implements Target.
+func (im *Image) Apply(snap *subjob.Snapshot, d *subjob.Delta) Outcome {
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	if d == nil {
+		im.latest = snap
+		return Folded
+	}
+	if err := im.latest.ApplyDelta(d); err != nil {
+		return Failed
+	}
+	return Folded
+}
+
+// ApplyPartial implements Target: partial frames patch a live standby and
+// are never folded into an image.
+func (im *Image) ApplyPartial(uint64, []byte) (bool, error) {
+	return false, errors.New("checkpoint: an image folds no partial frames")
+}
+
+// snapshot returns a copy of the image, or false if it holds none. The
+// copy is the caller's: delta folds mutate the image in place, so handing
+// out the internal pointer would race with them.
+func (im *Image) snapshot() (*subjob.Snapshot, bool) {
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	if im.latest == nil {
+		return nil, false
+	}
+	return im.latest.Clone(), true
 }

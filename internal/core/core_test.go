@@ -130,7 +130,7 @@ func expectAck(t *testing.T, acks chan uint64, want uint64) {
 
 func TestStandbyStoreAppliesWhileSuspended(t *testing.T) {
 	r := newStandbyRig(t)
-	store := NewStandbyStore(r.sec)
+	store := newStandbyStore(r.sec, nil)
 	defer store.Close()
 
 	acks := r.sendCheckpoint(t, 1, 42)
@@ -149,18 +149,18 @@ func TestStandbyStoreAppliesWhileSuspended(t *testing.T) {
 
 func TestStandbyStoreSkipsWhileActive(t *testing.T) {
 	r := newStandbyRig(t)
-	store := NewStandbyStore(r.sec)
+	store := newStandbyStore(r.sec, nil)
 	defer store.Close()
 	r.sec.Resume() // activated: live state supersedes checkpoints
 
 	acks := r.sendCheckpoint(t, 1, 99)
 	expectAck(t, acks, 1) // still acknowledged so trims proceed upstream
 	deadline := time.Now().Add(time.Second)
-	for store.Skipped() == 0 && time.Now().Before(deadline) {
+	for store.Stats().Skipped == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if store.Skipped() != 1 || store.Applied() != 0 {
-		t.Fatalf("skipped=%d applied=%d", store.Skipped(), store.Applied())
+	if store.Stats().Skipped != 1 || store.Applied() != 0 {
+		t.Fatalf("skipped=%d applied=%d", store.Stats().Skipped, store.Applied())
 	}
 	if got := r.sec.ConsumedPositions()["in"]; got != 0 {
 		t.Fatalf("active standby was overwritten: position %d", got)
@@ -169,7 +169,7 @@ func TestStandbyStoreSkipsWhileActive(t *testing.T) {
 
 func TestStandbyStoreIgnoresGarbage(t *testing.T) {
 	r := newStandbyRig(t)
-	store := NewStandbyStore(r.sec)
+	store := newStandbyStore(r.sec, nil)
 	defer store.Close()
 	r.priM.Send(r.secM.ID(), transport.Message{
 		Kind:   transport.KindCheckpoint,

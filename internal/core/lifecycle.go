@@ -794,9 +794,6 @@ func (lc *Lifecycle) Store() *checkpoint.Store {
 	return lc.store
 }
 
-// DiskStore is a legacy alias for Store.
-func (lc *Lifecycle) DiskStore() *checkpoint.Store { return lc.Store() }
-
 // StandbyStoreRef returns the in-memory standby store of the hybrid
 // policy, or nil.
 func (lc *Lifecycle) StandbyStoreRef() *StandbyStore {

@@ -185,9 +185,6 @@ type PassiveOptions struct {
 	// ConnectCost is the CPU work per connection established during
 	// recovery (default 2 ms).
 	ConnectCost time.Duration
-	// StoreBackend selects the checkpoint store; conventional passive
-	// standby persists to (simulated) disk.
-	StoreBackend checkpoint.StoreBackend
 	// Catalog, when non-nil, persists every stored checkpoint durably
 	// before it is acknowledged (see Options.Catalog).
 	Catalog *checkpoint.Catalog

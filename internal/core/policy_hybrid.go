@@ -86,7 +86,7 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 		acker := checkpoint.NewAcker(sec, lc.clk, hp.opts.AckInterval)
 		lc.mu.Lock()
 		lc.secondary = sec
-		lc.standby = NewStandbyStoreWith(sec, hp.opts.Catalog)
+		lc.standby = newStandbyStore(sec, hp.opts.Catalog)
 		lc.ackers = append(lc.ackers, acker)
 		lc.mu.Unlock()
 		acker.Start()
@@ -96,7 +96,7 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 			backend = checkpoint.SimulatedDisk
 		}
 		lc.mu.Lock()
-		lc.store = checkpoint.NewStoreWith(secM, spec.ID, checkpoint.StoreOptions{
+		lc.store = checkpoint.NewStore(secM, spec.ID, &checkpoint.Image{}, checkpoint.StoreOptions{
 			Backend: backend,
 			Catalog: hp.opts.Catalog,
 		})
@@ -276,7 +276,9 @@ func (hp *HybridPolicy) promote(lc *Lifecycle, partial bool) State {
 	oldCM := lc.cm
 	oldDet := lc.det
 	oldAckers := lc.ackers
+	oldStandby := lc.standby
 	lc.ackers = nil
+	lc.standby = nil
 	lc.mu.Unlock()
 
 	// The old primary is presumed dead. Tear its stack down without
@@ -290,6 +292,13 @@ func (hp *HybridPolicy) promote(lc *Lifecycle, partial bool) State {
 		}
 		oldPrimary.Stop()
 	}()
+	// The old standby store refreshed the copy that is now primary; the
+	// replacement standby gets a store of its own. Nothing the old one
+	// still folds may force the new manager to re-base.
+	if oldStandby != nil {
+		oldStandby.SetOnChainBreak(nil)
+		go oldStandby.Close()
+	}
 
 	// Remove the dead primary from every upstream queue so it stops gating
 	// trims, and drop the read-state plumbing bound to its machine.
@@ -351,15 +360,8 @@ func (hp *HybridPolicy) promote(lc *Lifecycle, partial bool) State {
 	lc.mu.Lock()
 	lc.secondary = newSec
 	lc.secondaryM = spare
-	standby := lc.standby
+	lc.standby = newStandbyStore(newSec, hp.opts.Catalog)
 	lc.mu.Unlock()
-	if standby != nil {
-		standby.Retarget(newSec)
-	} else {
-		lc.mu.Lock()
-		lc.standby = NewStandbyStoreWith(newSec, hp.opts.Catalog)
-		lc.mu.Unlock()
-	}
 
 	newCM := checkpoint.NewSweeping(checkpoint.Config{
 		Runtime:        sec,

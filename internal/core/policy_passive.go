@@ -57,10 +57,8 @@ func (pp *PassivePolicy) arm(lc *Lifecycle) {
 	active, standbyM := lc.primary, lc.secondaryM
 	lc.mu.Unlock()
 
-	store := checkpoint.NewStoreWith(standbyM, lc.cfg.Spec.ID, checkpoint.StoreOptions{
-		Backend: pp.opts.StoreBackend,
-		Catalog: pp.opts.Catalog,
-	})
+	store := checkpoint.NewStore(standbyM, lc.cfg.Spec.ID, &checkpoint.Image{},
+		checkpoint.StoreOptions{Catalog: pp.opts.Catalog})
 	cm := checkpoint.NewSweeping(checkpoint.Config{
 		Runtime:        active,
 		Clock:          lc.clk,

@@ -14,8 +14,8 @@ import (
 )
 
 // foldRig is a suspended two-PE standby (one pipe) and a closed store for
-// it, whose apply the test calls directly: with the store's goroutine
-// gone, the test goroutine is the only user of the store's decoder.
+// it, whose Fold the test calls directly: with the store's goroutine gone,
+// the test goroutine is the only user of the store's decoder.
 type foldRig struct {
 	from  transport.NodeID
 	ckpt  string // the subjob's checkpoint stream
@@ -51,7 +51,7 @@ func newFoldRig(t *testing.T) *foldRig {
 	}
 	sec.Start()
 	t.Cleanup(sec.Stop)
-	store := NewStandbyStore(sec)
+	store := newStandbyStore(sec, nil)
 	store.Close()
 	return &foldRig{from: priM.ID(), ckpt: subjob.CkptStream("j/sj"), sec: sec, store: store, state: counter().Snapshot()}
 }
@@ -111,12 +111,12 @@ func (r *foldRig) delta(t *testing.T, k uint64) []byte {
 }
 
 func (r *foldRig) apply(seq uint64, state []byte) {
-	r.store.apply(storeReq{from: r.from, msg: transport.Message{
+	r.store.Fold(r.from, transport.Message{
 		Kind:   transport.KindCheckpoint,
 		Stream: r.ckpt,
 		Seq:    seq,
 		State:  state,
-	}})
+	})
 }
 
 // TestStandbyFoldAllocatesNothing: a warmed standby store folds a full
@@ -172,7 +172,7 @@ func TestStandbyFoldCopiesOutOfTheDecoder(t *testing.T) {
 	a := r.full(t, 100, pipeA, outA, 0)
 	b := r.full(t, 200, elemsFrom(900, 3), elemsFrom(901, 2), 900)
 
-	snap, _, err := r.store.dec.Decode(a)
+	snap, _, err := r.store.sb.dec.Decode(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestStandbyFoldCopiesOutOfTheDecoder(t *testing.T) {
 	if r.store.Applied() != 1 {
 		t.Fatal("payload A was not folded")
 	}
-	snap, _, err = r.store.dec.Decode(b)
+	snap, _, err = r.store.sb.dec.Decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}

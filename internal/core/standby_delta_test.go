@@ -87,7 +87,7 @@ func (h *deltaHarness) expectNoAck(t *testing.T) {
 
 func TestStandbyStoreFoldsDeltaChain(t *testing.T) {
 	h := newDeltaHarness(t)
-	store := NewStandbyStore(h.sec)
+	store := newStandbyStore(h.sec, nil)
 	defer store.Close()
 
 	h.sendFull(t, 1, 42)
@@ -120,7 +120,7 @@ func TestStandbyStoreFoldsDeltaChain(t *testing.T) {
 
 func TestStandbyStoreActivePeriodBreaksChain(t *testing.T) {
 	h := newDeltaHarness(t)
-	store := NewStandbyStore(h.sec)
+	store := newStandbyStore(h.sec, nil)
 	defer store.Close()
 
 	h.sendFull(t, 1, 10)
@@ -133,11 +133,11 @@ func TestStandbyStoreActivePeriodBreaksChain(t *testing.T) {
 	h.sendDelta(t, 2, 1, 20, 0x01)
 	h.expectNoAck(t)
 	deadline := time.Now().Add(time.Second)
-	for store.Skipped() == 0 && time.Now().Before(deadline) {
+	for store.Stats().Skipped == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if store.Skipped() != 1 {
-		t.Fatalf("skipped=%d, want 1", store.Skipped())
+	if store.Stats().Skipped != 1 {
+		t.Fatalf("skipped=%d, want 1", store.Stats().Skipped)
 	}
 
 	// The chain is now broken: even a delta chaining onto seq 2 is dropped.

@@ -96,7 +96,7 @@ func newCkptRig(pad, hotSlots int) (*ckptRig, error) {
 	}
 	rt.Start()
 	r := &ckptRig{net: net, clk: clk, priM: priM, secM: secM, upM: upM, rt: rt}
-	r.store = checkpoint.NewStore(secM, spec.ID, checkpoint.InMemory, 0)
+	r.store = checkpoint.NewStore(secM, spec.ID, &checkpoint.Image{}, checkpoint.StoreOptions{})
 	return r, nil
 }
 

@@ -99,7 +99,7 @@ func RunSweeping(p Params) (*SweepingResult, error) {
 		src.Out().Subscribe(priM.ID(), subjob.DataStream(spec.ID, "s0"), true)
 		rt.Out().Subscribe(sinkM.ID(), subjob.DataStream(sink.ID(), "s1"), true)
 
-		store := checkpoint.NewStore(secM, spec.ID, checkpoint.InMemory, 0)
+		store := checkpoint.NewStore(secM, spec.ID, &checkpoint.Image{}, checkpoint.StoreOptions{})
 		cm := v.build(checkpoint.Config{
 			Runtime:   rt,
 			Clock:     cl.Clock(),
