@@ -209,7 +209,8 @@ func (t Transition) String() string {
 // selects. Policies run on the engine's event goroutine and return the
 // state the lifecycle settles in.
 type StandbyPolicy interface {
-	// Mode names the policy ("none", "active", "passive", "hybrid").
+	// Mode names the policy ("none", "active", "passive", "hybrid",
+	// "approx").
 	Mode() string
 	// InitialState is the state after a successful Arm.
 	InitialState() State

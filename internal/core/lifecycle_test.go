@@ -384,19 +384,32 @@ func TestLifecycleStartAndStopIdempotent(t *testing.T) {
 	lc.post(EventMiss, time.Now())
 }
 
-// TestLifecyclePassiveOptionsDefaults pins the conventional passive
-// standby tuning (the old ha.PSOptions defaults).
-func TestLifecyclePassiveOptionsDefaults(t *testing.T) {
-	o := PassiveOptions{}.withDefaults()
+// TestPassivePresetOfHybrid pins conventional passive standby as a preset
+// of the hybrid policy: the conventional three-miss threshold unless set,
+// no pre-deployment, no suspended copy and no fail-stop promotion.
+func TestPassivePresetOfHybrid(t *testing.T) {
+	pp := NewPassivePolicy(PassiveOptions{})
+	o := pp.Options()
 	if o.MissThreshold != 3 {
 		t.Fatalf("conventional PS threshold %d, want 3", o.MissThreshold)
 	}
 	if o.HeartbeatInterval <= 0 || o.CheckpointInterval <= 0 || o.DeployCost <= 0 {
 		t.Fatal("defaults missing")
 	}
-	keep := PassiveOptions{MissThreshold: 1}.withDefaults()
-	if keep.MissThreshold != 1 {
+	if !o.NoPreDeploy || !o.NoEarlyConnection {
+		t.Fatalf("preset keeps hybrid optimisations: %+v", o)
+	}
+	if keep := NewPassivePolicy(PassiveOptions{MissThreshold: 1}).Options(); keep.MissThreshold != 1 {
 		t.Fatal("explicit threshold overridden")
+	}
+	if pp.Mode() != "passive" {
+		t.Fatalf("mode %q", pp.Mode())
+	}
+	if create, suspended := pp.PreDeploy(); create || suspended {
+		t.Fatalf("PreDeploy() = (%v, %v), want (false, false)", create, suspended)
+	}
+	if pp.PromoteAfter() != 0 {
+		t.Fatalf("promote-after %s, want 0", pp.PromoteAfter())
 	}
 }
 

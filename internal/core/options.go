@@ -161,12 +161,14 @@ type ErrorBudget struct {
 // the approx policy must behave exactly like hybrid.
 func (b ErrorBudget) Zero() bool { return b.MaxLostElements <= 0 && b.MaxStaleness <= 0 }
 
-// PassiveOptions tunes conventional passive standby.
+// PassiveOptions tunes conventional passive standby. They are the Options
+// fields the passive preset of the hybrid policy leaves free
+// (NewPassivePolicy); the preset fixes the others.
 type PassiveOptions struct {
 	// HeartbeatInterval is the detector's ping period (default 20 ms).
 	HeartbeatInterval time.Duration
-	// MissThreshold is the consecutive misses before migration; the
-	// conventional value is 3.
+	// MissThreshold is the consecutive misses before migration (default 3,
+	// the conventional value).
 	MissThreshold int
 	// CheckpointInterval drives the sweeping checkpoint manager
 	// (default 10 ms).
@@ -188,25 +190,6 @@ type PassiveOptions struct {
 	// Catalog, when non-nil, persists every stored checkpoint durably
 	// before it is acknowledged (see Options.Catalog).
 	Catalog *checkpoint.Catalog
-}
-
-func (o PassiveOptions) withDefaults() PassiveOptions {
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 20 * time.Millisecond
-	}
-	if o.MissThreshold <= 0 {
-		o.MissThreshold = 3
-	}
-	if o.CheckpointInterval <= 0 {
-		o.CheckpointInterval = 10 * time.Millisecond
-	}
-	if o.DeployCost <= 0 {
-		o.DeployCost = 20 * time.Millisecond
-	}
-	if o.ConnectCost <= 0 {
-		o.ConnectCost = 2 * time.Millisecond
-	}
-	return o
 }
 
 // SwitchEvent records one switchover: from the detector's declaration to

@@ -52,7 +52,7 @@ type DivergenceReporter interface {
 // (lost in-flight elements, stale cold-slot bytes) is measured and
 // reported; a zero budget degenerates to exact hybrid behavior.
 type ApproxPolicy struct {
-	hy     *HybridPolicy
+	*HybridPolicy
 	budget ErrorBudget
 
 	mu  sync.Mutex
@@ -67,13 +67,17 @@ type ApproxPolicy struct {
 	priDeactivated bool
 }
 
-// NewApproxPolicy creates the bounded-error policy. Partial frames patch a
-// pre-deployed standby in place, so the NoPreDeploy ablation is forced off.
+// NewApproxPolicy creates the bounded-error policy: the hybrid policy with
+// its sweeping managers in partial mode unless the budget is zero. Partial
+// frames patch a pre-deployed standby in place, so the NoPreDeploy ablation
+// is forced off.
 func NewApproxPolicy(o Options, b ErrorBudget) *ApproxPolicy {
 	o.NoPreDeploy = false
+	hp := NewHybridPolicy(o)
+	hp.partial = !b.Zero()
 	return &ApproxPolicy{
-		hy:     NewHybridPolicy(o),
-		budget: b,
+		HybridPolicy: hp,
+		budget:       b,
 		div: DivergenceStats{
 			Mode:                 "approx",
 			BudgetMaxLost:        b.MaxLostElements,
@@ -83,30 +87,11 @@ func NewApproxPolicy(o Options, b ErrorBudget) *ApproxPolicy {
 	}
 }
 
-// Options returns the underlying hybrid policy's resolved options.
-func (ap *ApproxPolicy) Options() Options { return ap.hy.Options() }
-
 // Budget returns the configured error budget.
 func (ap *ApproxPolicy) Budget() ErrorBudget { return ap.budget }
 
 // Mode implements StandbyPolicy.
 func (ap *ApproxPolicy) Mode() string { return "approx" }
-
-// InitialState implements StandbyPolicy.
-func (ap *ApproxPolicy) InitialState() State { return ap.hy.InitialState() }
-
-// PreDeploy implements StandbyPolicy: always pre-deployed and suspended.
-func (ap *ApproxPolicy) PreDeploy() (bool, bool) { return ap.hy.PreDeploy() }
-
-// NeedsStandbyMachine implements StandbyPolicy.
-func (ap *ApproxPolicy) NeedsStandbyMachine() bool { return ap.hy.NeedsStandbyMachine() }
-
-// PromoteAfter implements StandbyPolicy.
-func (ap *ApproxPolicy) PromoteAfter() time.Duration { return ap.hy.PromoteAfter() }
-
-// Arm implements StandbyPolicy: the hybrid arm sequence, with the sweeping
-// manager in partial (bounded-error) mode unless the budget is zero.
-func (ap *ApproxPolicy) Arm(lc *Lifecycle) error { return ap.hy.arm(lc, !ap.budget.Zero()) }
 
 // Restore implements StandbyPolicy: rollback is the hybrid read-state
 // sequence — the primary adopts the standby's (approximate) live state,
@@ -115,7 +100,7 @@ func (ap *ApproxPolicy) Arm(lc *Lifecycle) error { return ap.hy.arm(lc, !ap.budg
 // are re-activated (with retransmission) now that the primary's input
 // floor covers everything the standby consumed.
 func (ap *ApproxPolicy) Restore(lc *Lifecycle, at time.Time) State {
-	st := ap.hy.Restore(lc, at)
+	st := ap.HybridPolicy.Restore(lc, at)
 	ap.mu.Lock()
 	deact := ap.priDeactivated
 	ap.priDeactivated = false
@@ -129,15 +114,13 @@ func (ap *ApproxPolicy) Restore(lc *Lifecycle, at time.Time) State {
 	return st
 }
 
-// Promote implements StandbyPolicy: the hybrid promotion, re-arming the
-// spare's sweeping manager in partial mode unless the budget is zero. The
-// old primary is unsubscribed wholesale, so a deactivated feed needs no
-// undoing.
-func (ap *ApproxPolicy) Promote(lc *Lifecycle, _ time.Time) State {
+// Promote implements StandbyPolicy: the hybrid promotion. The old primary
+// is unsubscribed wholesale, so a deactivated feed needs no undoing.
+func (ap *ApproxPolicy) Promote(lc *Lifecycle, at time.Time) State {
 	ap.mu.Lock()
 	ap.priDeactivated = false
 	ap.mu.Unlock()
-	return ap.hy.promote(lc, !ap.budget.Zero())
+	return ap.HybridPolicy.Promote(lc, at)
 }
 
 // Failover implements StandbyPolicy. With a zero budget it is hybrid
@@ -150,7 +133,7 @@ func (ap *ApproxPolicy) Promote(lc *Lifecycle, _ time.Time) State {
 // exact hybrid replay runs instead.
 func (ap *ApproxPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	if ap.budget.Zero() {
-		return ap.hy.Failover(lc, detectedAt)
+		return ap.HybridPolicy.Failover(lc, detectedAt)
 	}
 
 	sec := lc.SecondaryRuntime()
@@ -180,7 +163,7 @@ func (ap *ApproxPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 		within = false
 	}
 
-	secM.CPU().Execute(ap.hy.opts.ResumeCost)
+	secM.CPU().Execute(ap.opts.ResumeCost)
 	sec.Resume()
 
 	lost := 0
@@ -234,13 +217,6 @@ func (ap *ApproxPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 
 	lc.recordSwitch(SwitchEvent{DetectedAt: detectedAt, ReadyAt: lc.clk.Now()})
 	return SwitchedOver
-}
-
-// Rearm implements Rearmer: the hybrid repair, keeping the re-armed
-// sweeping manager in partial (bounded-error) mode unless the budget is
-// zero.
-func (ap *ApproxPolicy) Rearm(lc *Lifecycle, _ time.Time) State {
-	return ap.hy.rearm(lc, !ap.budget.Zero())
 }
 
 // Divergence implements DivergenceReporter.

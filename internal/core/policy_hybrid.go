@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"streamha/internal/checkpoint"
+	"streamha/internal/detect"
+	"streamha/internal/machine"
 	"streamha/internal/subjob"
 	"streamha/internal/transport"
 )
@@ -13,9 +15,17 @@ import (
 // heartbeat, read-state-on-rollback when the primary returns, and
 // fail-stop promotion (with spare re-protection) when the failure
 // persists. The ablation switches in Options select the degraded variants
-// Section IV-B measures.
+// Section IV-B measures. Conventional passive standby is the same policy
+// with those optimisations off and a permanent failover (NewPassivePolicy);
+// approx embeds it (NewApproxPolicy).
 type HybridPolicy struct {
 	opts Options
+	// migrate makes every failover permanent, the passive-standby way: the
+	// on-demand copy becomes the primary and the roles swap (see migrateTo).
+	migrate bool
+	// partial selects bounded-error checkpointing for every sweeping
+	// manager the policy starts (approx with a non-zero budget).
+	partial bool
 }
 
 // NewHybridPolicy creates the hybrid policy with o (zero value = the
@@ -24,18 +34,55 @@ func NewHybridPolicy(o Options) *HybridPolicy {
 	return &HybridPolicy{opts: o.withDefaults()}
 }
 
+// NewPassivePolicy creates conventional passive standby: the hybrid policy
+// without pre-deployment or early connections, so the primary checkpoints
+// to a store on the secondary machine and after MissThreshold (three, by
+// convention) heartbeat misses a recovery copy is deployed there on demand.
+// There is no rollback: after a migration the former secondary machine is
+// the new primary's home and the former primary machine becomes the new
+// secondary — so under transient failures the subjob keeps experiencing
+// spikes on whichever machine it lands on, as the paper observes in
+// Figure 4. The policy re-arms after every migration, so repeated failures
+// keep being survived while both machines stay alive.
+func NewPassivePolicy(o PassiveOptions) *HybridPolicy {
+	if o.MissThreshold <= 0 {
+		o.MissThreshold = 3
+	}
+	hp := NewHybridPolicy(Options{
+		HeartbeatInterval:        o.HeartbeatInterval,
+		MissThreshold:            o.MissThreshold,
+		CheckpointInterval:       o.CheckpointInterval,
+		CheckpointCosts:          o.CheckpointCosts,
+		CheckpointRebaseEvery:    o.CheckpointRebaseEvery,
+		CheckpointRebaseAdaptive: o.CheckpointRebaseAdaptive,
+		DeployCost:               o.DeployCost,
+		ConnectCost:              o.ConnectCost,
+		Catalog:                  o.Catalog,
+		NoPreDeploy:              true,
+		NoEarlyConnection:        true,
+	})
+	hp.migrate = true
+	return hp
+}
+
 // Options returns the policy's resolved options.
 func (hp *HybridPolicy) Options() Options { return hp.opts }
 
 // Mode implements StandbyPolicy.
-func (hp *HybridPolicy) Mode() string { return "hybrid" }
+func (hp *HybridPolicy) Mode() string {
+	if hp.migrate {
+		return "passive"
+	}
+	return "hybrid"
+}
 
 // InitialState implements StandbyPolicy.
 func (hp *HybridPolicy) InitialState() State { return Protected }
 
 // PreDeploy implements StandbyPolicy: the standby exists up front and is
-// suspended, unless the NoPreDeploy ablation defers it to switchover.
-func (hp *HybridPolicy) PreDeploy() (bool, bool) { return !hp.opts.NoPreDeploy, true }
+// suspended, unless the NoPreDeploy ablation defers it to switchover. A
+// migrating copy is never suspended.
+func (hp *HybridPolicy) PreDeploy() (bool, bool) { return !hp.opts.NoPreDeploy, !hp.migrate }
 
 // NeedsStandbyMachine implements StandbyPolicy.
 func (hp *HybridPolicy) NeedsStandbyMachine() bool { return true }
@@ -45,16 +92,13 @@ func (hp *HybridPolicy) PromoteAfter() time.Duration { return hp.opts.FailStopAf
 
 // Arm implements StandbyPolicy: deploy the standby side (pre-deployed and
 // early-connected unless ablated), start the sweeping checkpoint manager
-// on the primary and the heartbeat detector on the standby machine.
-func (hp *HybridPolicy) Arm(lc *Lifecycle) error { return hp.arm(lc, false) }
-
-// arm is the shared body; partial selects bounded-error checkpointing for
-// the sweeping manager (the approx policy's wrapper sets it). It reads the
-// live secondary fields — not the construction-time config — so re-arms
-// onto a scheduler-supplied replacement machine reuse it unchanged.
-func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
+// on the primary and the heartbeat detector on the standby machine. It
+// reads the live secondary fields — not the construction-time config — so
+// promotions, migrations and re-arms onto another machine reuse it.
+func (hp *HybridPolicy) Arm(lc *Lifecycle) error {
 	spec := lc.cfg.Spec
 	secM := lc.StandbyMachine()
+	pri := lc.PrimaryRuntime()
 
 	if !hp.opts.NoPreDeploy {
 		sec := lc.SecondaryRuntime()
@@ -72,7 +116,7 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 				return err
 			}
 			lc.applyPartitioning(sec)
-			if err := seedStandby(lc.PrimaryRuntime(), sec); err != nil {
+			if err := seedStandby(pri, sec); err != nil {
 				return err
 			}
 			sec.Start()
@@ -104,7 +148,7 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 	}
 
 	cm := checkpoint.NewSweeping(checkpoint.Config{
-		Runtime:        lc.PrimaryRuntime(),
+		Runtime:        pri,
 		Clock:          lc.clk,
 		Interval:       hp.opts.CheckpointInterval,
 		StoreNode:      secM.ID(),
@@ -112,7 +156,7 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 		RebaseEvery:    hp.opts.CheckpointRebaseEvery,
 		RebaseAdaptive: hp.opts.CheckpointRebaseAdaptive,
 		MaxInFlight:    hp.opts.CheckpointMaxInFlight,
-		Partial:        partial,
+		Partial:        hp.partial,
 		SeqBase:        lc.seqBase(),
 	})
 	lc.mu.Lock()
@@ -121,8 +165,15 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 	cm.Start()
 	lc.watchChainBreaks()
 
-	lc.registerReadStateAck(lc.PrimaryRuntime().Machine())
-	lc.startDetector(secM, lc.PrimaryRuntime().Machine().ID(), spec.ID,
+	lc.registerReadStateAck(pri.Machine())
+	session := spec.ID
+	if hp.migrate {
+		// Every migration swaps monitor and target between two machines; a
+		// session per monitor keeps the reply streams of successive
+		// detectors apart while the deposed one is torn down.
+		session += "/" + string(secM.ID())
+	}
+	lc.startDetector(secM, pri.Machine().ID(), session,
 		hp.opts.HeartbeatInterval, hp.opts.MissThreshold, hp.opts.RecoverThreshold)
 	return nil
 }
@@ -131,36 +182,23 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 // Resume the pre-deployed copy (or deploy one from the store under
 // NoPreDeploy), flip the early connections active — which retransmits
 // unacknowledged upstream data — and retransmit the standby's own
-// unacknowledged outputs.
+// unacknowledged outputs. Under migrate the deployed copy is not resumed
+// but takes over for good.
 func (hp *HybridPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	sec := lc.SecondaryRuntime()
-	secM := lc.StandbyMachine()
-
 	if hp.opts.NoPreDeploy {
-		// Ablation: deploy the standby from the stored checkpoint on demand,
-		// paying the full deployment cost on the critical path.
-		secM.CPU().Execute(hp.opts.DeployCost)
-		rt, err := subjob.New(lc.cfg.Spec, secM, true)
-		if err != nil {
-			return Protected
+		if sec = hp.deploy(lc); sec == nil {
+			return Unprotected
 		}
-		lc.applyPartitioning(rt)
-		if snap, ok := lc.Store().Latest(); ok {
-			if err := rt.Restore(snap); err != nil {
-				return Protected
-			}
-		}
-		rt.Start()
-		lc.mu.Lock()
-		lc.secondary = rt
-		lc.mu.Unlock()
-		sec = rt
 	}
+	secM := sec.Machine()
 
-	// Resuming the suspended copy is just resetting the processing-loop
-	// flags, about a quarter of a deployment.
-	secM.CPU().Execute(hp.opts.ResumeCost)
-	sec.Resume()
+	if !hp.migrate {
+		// Resuming the suspended copy is just resetting the processing-loop
+		// flags, about a quarter of a deployment.
+		secM.CPU().Execute(hp.opts.ResumeCost)
+		sec.Resume()
+	}
 
 	ups := lc.cfg.Wiring.UpstreamOutputs()
 	if hp.opts.NoEarlyConnection || hp.opts.NoPreDeploy {
@@ -182,8 +220,132 @@ func (hp *HybridPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	}
 	sec.Out().RetransmitAll()
 
+	if hp.migrate {
+		return hp.migrateTo(lc, sec, detectedAt)
+	}
 	lc.recordSwitch(SwitchEvent{DetectedAt: detectedAt, ReadyAt: lc.clk.Now()})
 	return SwitchedOver
+}
+
+// deploy is the on-demand deployment of the NoPreDeploy ablation and of
+// passive standby: a copy on the standby machine restored from the stored
+// checkpoint, paying the full deployment cost on the critical path. It
+// returns nil when no copy could be deployed.
+func (hp *HybridPolicy) deploy(lc *Lifecycle) *subjob.Runtime {
+	target, store := lc.StandbyMachine(), lc.Store()
+	if target.Crashed() {
+		// No live statically named machine to recover on. With a placer the
+		// scheduler supplies a replacement host; the checkpoints died with
+		// the store machine, so the copy restarts empty and relies on the
+		// upstream replay. Without one, selection of an alternative host is
+		// outside the paper's scope.
+		if lc.cfg.Placer == nil {
+			return nil
+		}
+		if target = lc.cfg.Placer.PlacePrimary(lc.cfg.Spec.ID, lc.PrimaryRuntime().Machine()); target == nil {
+			return nil
+		}
+		store = nil
+	}
+	if hp.migrate {
+		lc.transient(Migrating)
+	}
+
+	target.CPU().Execute(hp.opts.DeployCost)
+	rt, err := subjob.New(lc.cfg.Spec, target, !hp.migrate)
+	if err != nil {
+		return nil
+	}
+	lc.applyPartitioning(rt)
+	if store != nil {
+		if snap, ok := store.Latest(); ok {
+			if err := rt.Restore(snap); err != nil {
+				return nil
+			}
+		}
+	}
+	rt.Start()
+	if !hp.migrate {
+		lc.mu.Lock()
+		lc.secondary = rt
+		lc.mu.Unlock()
+	}
+	return rt
+}
+
+// migrateTo completes a passive-standby failover: rt, running and
+// connected, is the primary from now on. The old stack goes, and the
+// former primary machine becomes the new standby machine.
+func (hp *HybridPolicy) migrateTo(lc *Lifecycle, rt *subjob.Runtime, detectedAt time.Time) State {
+	readyAt := lc.clk.Now()
+	lc.mu.Lock()
+	old, oldDet, oldCM, oldStore := lc.primary, lc.det, lc.cm, lc.store
+	lc.primary = rt
+	lc.secondaryM = old.Machine()
+	lc.mu.Unlock()
+	depose(lc, old, oldDet, oldCM)
+	if oldStore != nil {
+		oldStore.Close()
+	}
+	lc.recordMigration(MigrationEvent{DetectedAt: detectedAt, ReadyAt: readyAt})
+	return hp.reprotect(lc, rt, old.Machine())
+}
+
+// reprotect re-arms around rt, a primary that just moved, with host as the
+// new standby machine. A missing or crashed host leaves no live machine for
+// the standby side: with a placer the scheduler supplies one; without, the
+// subjob keeps running unprotected rather than arming apparatus on a dead
+// machine.
+func (hp *HybridPolicy) reprotect(lc *Lifecycle, rt *subjob.Runtime, host *machine.Machine) State {
+	if host != nil && host.Crashed() {
+		host = nil
+	}
+	placed := false
+	if placer := lc.cfg.Placer; placer != nil {
+		// Keep the scheduler's books straight — the primary moved — and let
+		// it pick the standby host when none remains.
+		placer.NotePrimary(lc.cfg.Spec.ID, rt.Machine())
+		if host == nil {
+			host = placer.PlaceStandby(lc.cfg.Spec.ID, rt.Machine())
+			placed = host != nil
+		}
+	}
+	if host == nil {
+		// With a placer, the periodic re-arm keeps retrying as capacity
+		// returns.
+		return Unprotected
+	}
+	lc.mu.Lock()
+	lc.secondaryM = host
+	lc.mu.Unlock()
+	if err := hp.Arm(lc); err != nil {
+		return Unprotected
+	}
+	if placed {
+		lc.recordRearm(RearmEvent{At: lc.clk.Now(), Host: string(host.ID())})
+	}
+	return Protected
+}
+
+// depose retires a primary copy that lost its role. Its stack is torn down
+// without blocking the event loop, since its machine may be unresponsive;
+// until then the old copy may limp along, and the downstream deduplicates
+// whatever it still emits. It leaves every upstream queue at once, so it
+// stops gating trims, and the read-state plumbing bound to its machine goes.
+func depose(lc *Lifecycle, old *subjob.Runtime, det *detect.Heartbeat, cm checkpoint.Manager) {
+	go func() {
+		if det != nil {
+			det.Stop()
+		}
+		if cm != nil {
+			cm.Stop()
+		}
+		old.Stop()
+	}()
+	for _, up := range lc.cfg.Wiring.UpstreamOutputs() {
+		up.Unsubscribe(old.Node())
+	}
+	old.Machine().UnregisterStream(subjob.ReadStateStream(lc.cfg.Spec.ID))
 }
 
 // Restore implements StandbyPolicy: the rollback once the primary is
@@ -262,55 +424,31 @@ func positionsCover(standby, primary map[string]uint64) bool {
 
 // Promote implements StandbyPolicy: the activated standby becomes the
 // permanent primary after the failure persisted past the fail-stop
-// threshold, and — when a spare machine is available — a new suspended
-// standby is instantiated there, re-protecting the subjob.
-func (hp *HybridPolicy) Promote(lc *Lifecycle, _ time.Time) State { return hp.promote(lc, false) }
-
-// promote is the shared body; partial selects bounded-error checkpointing
-// for the re-armed sweeping manager (the approx policy's wrapper sets it).
-func (hp *HybridPolicy) promote(lc *Lifecycle, partial bool) State {
+// threshold, and — when a spare machine is available — the policy re-arms
+// there, re-protecting the subjob.
+func (hp *HybridPolicy) Promote(lc *Lifecycle, _ time.Time) State {
 	lc.transient(Promoted)
 	lc.mu.Lock()
-	oldPrimary := lc.primary
-	sec := lc.secondary
-	oldCM := lc.cm
-	oldDet := lc.det
-	oldAckers := lc.ackers
-	oldStandby := lc.standby
-	lc.ackers = nil
-	lc.standby = nil
+	old, sec := lc.primary, lc.secondary
+	oldDet, oldCM, oldAckers := lc.det, lc.cm, lc.ackers
+	oldStandby, oldStore := lc.standby, lc.store
+	lc.primary, lc.secondary = sec, nil
+	lc.ackers, lc.standby, lc.store = nil, nil, nil
 	lc.mu.Unlock()
 
-	// The old primary is presumed dead. Tear its stack down without
-	// blocking the event loop (its machine may be unresponsive).
-	go func() {
-		if oldDet != nil {
-			oldDet.Stop()
-		}
-		if oldCM != nil {
-			oldCM.Stop()
-		}
-		oldPrimary.Stop()
-	}()
-	// The old standby store refreshed the copy that is now primary; the
-	// replacement standby gets a store of its own. Nothing the old one
-	// still folds may force the new manager to re-base.
+	// The old primary is presumed dead.
+	depose(lc, old, oldDet, oldCM)
+	// The old standby-side store refreshed (or deployed) the copy that is
+	// now primary; the replacement standby gets a store of its own. Nothing
+	// the old one still folds may force the new manager to re-base.
 	if oldStandby != nil {
 		oldStandby.SetOnChainBreak(nil)
 		go oldStandby.Close()
 	}
-
-	// Remove the dead primary from every upstream queue so it stops gating
-	// trims, and drop the read-state plumbing bound to its machine.
-	for _, up := range lc.cfg.Wiring.UpstreamOutputs() {
-		up.Unsubscribe(oldPrimary.Node())
+	if oldStore != nil {
+		oldStore.SetOnChainBreak(nil)
+		go oldStore.Close()
 	}
-	oldPrimary.Machine().UnregisterStream(subjob.ReadStateStream(lc.cfg.Spec.ID))
-
-	lc.mu.Lock()
-	lc.primary = sec
-	lc.secondary = nil
-	lc.mu.Unlock()
 	lc.recordPromotion(PromoteEvent{At: lc.clk.Now()})
 
 	// The promoted copy must stop acking on processing: from here on its
@@ -320,93 +458,23 @@ func (hp *HybridPolicy) promote(lc *Lifecycle, partial bool) State {
 		a.Stop()
 	}
 
+	// A new standby side on the spare machine protects the promoted
+	// primary, so the subjob survives the next failure too.
 	spare := lc.cfg.SpareMachine
-	if spare == nil || spare == sec.Machine() || spare.Crashed() {
+	if spare == sec.Machine() {
 		spare = nil
 	}
-	placed := false
-	if placer := lc.cfg.Placer; placer != nil {
-		// Keep the scheduler's books straight — the primary moved — and let
-		// it pick the replacement standby host when no static spare remains.
-		placer.NotePrimary(lc.cfg.Spec.ID, sec.Machine())
-		if spare == nil {
-			spare = placer.PlaceStandby(lc.cfg.Spec.ID, sec.Machine())
-			placed = spare != nil
-		}
-	}
-	if spare == nil {
-		// No (live) spare and no schedulable capacity: the subjob runs
-		// unprotected, like passive standby after exhausting its secondary.
-		// With a placer, the periodic re-arm keeps retrying as capacity
-		// returns.
-		return Unprotected
-	}
-
-	newSec, err := subjob.New(lc.cfg.Spec, spare, true)
-	if err != nil {
-		return Unprotected
-	}
-	lc.applyPartitioning(newSec)
-	// Same seeding as a re-arm: the replacement standby inherits the
-	// promoted primary's sequence space immediately, closing the window
-	// before its first sweeping checkpoint arrives.
-	if err := seedStandby(sec, newSec); err != nil {
-		return Unprotected
-	}
-	spare.CPU().Execute(hp.opts.DeployCost)
-	newSec.Start()
-	lc.connectStandby(newSec)
-
-	lc.mu.Lock()
-	lc.secondary = newSec
-	lc.secondaryM = spare
-	lc.standby = newStandbyStore(newSec, hp.opts.Catalog)
-	lc.mu.Unlock()
-
-	newCM := checkpoint.NewSweeping(checkpoint.Config{
-		Runtime:        sec,
-		Clock:          lc.clk,
-		Interval:       hp.opts.CheckpointInterval,
-		StoreNode:      spare.ID(),
-		Costs:          hp.opts.CheckpointCosts,
-		RebaseEvery:    hp.opts.CheckpointRebaseEvery,
-		RebaseAdaptive: hp.opts.CheckpointRebaseAdaptive,
-		MaxInFlight:    hp.opts.CheckpointMaxInFlight,
-		Partial:        partial,
-		SeqBase:        lc.seqBase(),
-	})
-	newAcker := checkpoint.NewAcker(newSec, lc.clk, hp.opts.AckInterval)
-	lc.mu.Lock()
-	lc.cm = newCM
-	lc.ackers = []*checkpoint.Acker{newAcker}
-	lc.mu.Unlock()
-	newCM.Start()
-	newAcker.Start()
-	lc.watchChainBreaks()
-
-	// Re-armed: a new detector on the spare machine watches the promoted
-	// primary, so the subjob survives the next failure too.
-	lc.registerReadStateAck(sec.Machine())
-	lc.startDetector(spare, sec.Machine().ID(), lc.cfg.Spec.ID,
-		hp.opts.HeartbeatInterval, hp.opts.MissThreshold, hp.opts.RecoverThreshold)
-	if placed {
-		lc.recordRearm(RearmEvent{At: lc.clk.Now(), Host: string(spare.ID())})
-	}
-	return Protected
+	return hp.reprotect(lc, sec, spare)
 }
 
 // Rearm implements Rearmer: the scheduler-backed protection repair driven
-// by the lifecycle's periodic EventRearm.
-func (hp *HybridPolicy) Rearm(lc *Lifecycle, at time.Time) State { return hp.rearm(lc, false) }
-
-// rearm is the shared body; partial selects bounded-error checkpointing,
-// as in arm. From Protected it is a health check: nothing happens while
-// the standby machine is alive. When the standby machine is dead (a crash
-// the detector cannot see — the detector lived there) or the state is
-// Unprotected (a spare-less promotion), it asks the placer for a
-// replacement host, tears the old standby apparatus down and re-arms onto
-// the new machine.
-func (hp *HybridPolicy) rearm(lc *Lifecycle, partial bool) State {
+// by the lifecycle's periodic EventRearm. From Protected it is a health
+// check: nothing happens while the standby machine is alive. When the
+// standby machine is dead (a crash the detector cannot see — the detector
+// lived there) or the state is Unprotected (a spare-less promotion or
+// migration), it asks the placer for a replacement host, tears the old
+// standby apparatus down and re-arms onto the new machine.
+func (hp *HybridPolicy) Rearm(lc *Lifecycle, at time.Time) State {
 	cur := lc.State()
 	pri := lc.PrimaryRuntime()
 	if pri.Machine().Crashed() {
@@ -473,7 +541,7 @@ func (hp *HybridPolicy) rearm(lc *Lifecycle, partial bool) State {
 		}
 	}()
 
-	if err := hp.arm(lc, partial); err != nil {
+	if err := hp.Arm(lc); err != nil {
 		return Unprotected
 	}
 	lc.recordRearm(RearmEvent{At: lc.clk.Now(), Host: string(target.ID())})

@@ -37,11 +37,15 @@ func RunLifecycle(p Params) (*LifecycleResult, error) {
 	p = p.withDefaults()
 	res := &LifecycleResult{}
 	for _, name := range ha.Modes() {
-		mode, err := ha.ParseMode(name)
+		if name == "approx" {
+			// The approx mode's name carries its error budget.
+			name = fmt.Sprintf("approx:%d", approxBudget.MaxLostElements)
+		}
+		mode, budget, err := ha.ParseModeBudget(name)
 		if err != nil {
 			return nil, err
 		}
-		row, err := runOneLifecycle(p, mode)
+		row, err := runOneLifecycle(p, mode, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +54,7 @@ func RunLifecycle(p Params) (*LifecycleResult, error) {
 	return res, nil
 }
 
-func runOneLifecycle(p Params, mode ha.Mode) (LifecycleRow, error) {
+func runOneLifecycle(p Params, mode ha.Mode, budget core.ErrorBudget) (LifecycleRow, error) {
 	cl := cluster.New(cluster.Config{Latency: p.Latency})
 	for _, id := range []string{"m-src", "m-sink", "p1", "s1", "spare"} {
 		cl.MustAddMachine(id)
@@ -78,6 +82,7 @@ func runOneLifecycle(p Params, mode ha.Mode) (LifecycleRow, error) {
 			HeartbeatInterval:  p.HeartbeatInterval,
 			CheckpointInterval: p.CheckpointInterval,
 		},
+		Approx: budget,
 	})
 	if err != nil {
 		return LifecycleRow{}, err

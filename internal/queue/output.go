@@ -67,7 +67,7 @@ type Subscriber struct {
 	// subscriber, guarded by sendMu. Replay resumes after it (unless
 	// forced), and publish fan-out skips any prefix a concurrent replay
 	// already covered, closing the duplicate-delivery race between an
-	// in-flight Publish and an Activate/ResetSubscriber replay.
+	// in-flight Publish and an Activate replay.
 	sent uint64
 }
 
@@ -300,23 +300,6 @@ func (o *Output) ActivateSkipReplay(node transport.NodeID) int {
 		onTrim()
 	}
 	return skipped
-}
-
-// ResetSubscriber rebinds the subscription for node to a fresh copy
-// starting at the trim floor and retransmits retained data to it. Passive
-// standby uses it when a recovered copy is deployed on a new machine.
-func (o *Output) ResetSubscriber(oldNode, newNode transport.NodeID, stream string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	part := -1
-	if old, ok := o.subs[oldNode]; ok {
-		part = old.part // the recovered copy serves the same partition
-	}
-	delete(o.subs, oldNode)
-	s := &Subscriber{Node: newNode, Stream: stream, Active: true, part: part, acked: o.floor, sent: o.floor}
-	o.subs[newNode] = s
-	o.rebuildActiveLocked()
-	o.replayLocked(s, false)
 }
 
 // replayLocked retransmits retained elements to s. The caller holds o.mu;

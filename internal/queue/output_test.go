@@ -144,28 +144,6 @@ func TestDeactivateStopsFlow(t *testing.T) {
 	}
 }
 
-func TestResetSubscriberMovesAndRetransmits(t *testing.T) {
-	s := newCaptureSender()
-	o := NewOutput("st", s.send)
-	o.Subscribe("old", "in", true)
-	o.Publish(elems(5))
-	o.Ack("old", 2)
-	o.ResetSubscriber("old", "new", "in")
-	got := s.elementsTo("new")
-	if len(got) != 3 {
-		t.Fatalf("new subscriber got %d elements, want 3 (floor 2)", len(got))
-	}
-	// Old subscriber is gone: its acks are ignored.
-	o.Ack("old", 5)
-	if o.Floor() != 2 {
-		t.Fatalf("removed subscriber still trims: floor %d", o.Floor())
-	}
-	o.Ack("new", 5)
-	if o.Floor() != 5 {
-		t.Fatalf("floor %d after new ack", o.Floor())
-	}
-}
-
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := newCaptureSender()
 	o := NewOutput("st", s.send)
