@@ -312,10 +312,10 @@ type Lifecycle struct {
 	restoredSeq uint64 // catalog sequence a cold restart restored, 0 otherwise
 	started     bool
 
-	events  chan lcEvent
-	rsAckCh chan struct{}
-	stop    chan struct{}
-	done    chan struct{}
+	events    chan lcEvent
+	readState chan []byte // a rollback's read-state, from registerReadState's handler
+	stop      chan struct{}
+	done      chan struct{}
 }
 
 // NewLifecycle creates the lifecycle engine for one subjob; call Start
@@ -331,7 +331,7 @@ func NewLifecycle(cfg LifecycleConfig) *Lifecycle {
 		secondary:  cfg.Secondary,
 		secondaryM: cfg.SecondaryMachine,
 		events:     make(chan lcEvent, 16),
-		rsAckCh:    make(chan struct{}, 1),
+		readState:  make(chan []byte, 1),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -591,9 +591,11 @@ func (lc *Lifecycle) connectStandby(sec *subjob.Runtime) {
 	}
 }
 
-// registerReadStateAck listens for the primary's acknowledgment of a
-// read-state transfer on m, replacing any previous registration.
-func (lc *Lifecycle) registerReadStateAck(m *machine.Machine) {
+// registerReadState receives a rollback's read-state on m, the primary's
+// machine, replacing any previous registration. The handler passes the
+// payload to the lifecycle goroutine, which folds it: the machine's one
+// dispatch goroutine must not wait for the primary's PEs to park.
+func (lc *Lifecycle) registerReadState(m *machine.Machine) {
 	stream := subjob.ReadStateStream(lc.cfg.Spec.ID)
 	lc.mu.Lock()
 	old := lc.rsOn
@@ -602,9 +604,9 @@ func (lc *Lifecycle) registerReadStateAck(m *machine.Machine) {
 	if old != nil && old != m {
 		old.UnregisterStream(stream)
 	}
-	m.RegisterStream(stream, func(_ transport.NodeID, _ transport.Message) {
+	m.RegisterStream(stream, func(_ transport.NodeID, msg transport.Message) {
 		select {
-		case lc.rsAckCh <- struct{}{}:
+		case lc.readState <- msg.State:
 		default:
 		}
 	})

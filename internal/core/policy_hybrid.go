@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"streamha/internal/checkpoint"
@@ -109,15 +110,22 @@ func (hp *HybridPolicy) Arm(lc *Lifecycle) error {
 			// starts: the sweeping chain is asynchronous, and a switchover in
 			// the window before its first checkpoint lands would otherwise
 			// promote an empty copy whose restarted output sequences the
-			// downstream dedup floors silently swallow.
+			// downstream dedup floors silently swallow. Snapshot (not
+			// CaptureFull) leaves the primary's delta tracking alone, so a
+			// manager still winding down on it is unharmed.
 			var err error
 			sec, err = subjob.New(spec, secM, true)
 			if err != nil {
 				return err
 			}
 			lc.applyPartitioning(sec)
-			if err := seedStandby(pri, sec); err != nil {
+			var seed []byte
+			pri.WithPaused(func() { seed, err = pri.Snapshot().Encode() })
+			if err != nil {
 				return err
+			}
+			if Fold(sec, seed) != checkpoint.Folded {
+				return fmt.Errorf("core: %s: the new standby did not take the primary's state", spec.ID)
 			}
 			sec.Start()
 			if !hp.opts.NoEarlyConnection {
@@ -165,7 +173,7 @@ func (hp *HybridPolicy) Arm(lc *Lifecycle) error {
 	cm.Start()
 	lc.watchChainBreaks()
 
-	lc.registerReadStateAck(pri.Machine())
+	lc.registerReadState(pri.Machine())
 	session := spec.ID
 	if hp.migrate {
 		// Every migration swaps monitor and target between two machines; a
@@ -352,7 +360,9 @@ func depose(lc *Lifecycle, old *subjob.Runtime, det *detect.Heartbeat, cm checkp
 // responsive again. The standby is suspended, the primary reads the
 // standby's freshest state back ("read state on rollback") so it can jump
 // past the backlog it accumulated while stalled, and upstream connections
-// to the standby are deactivated.
+// to the standby are deactivated. The state travels as a message, whose
+// size the overhead figures account (Figure 10), and the primary adopts
+// only what it received: a response lost in transit adopts nothing.
 func (hp *HybridPolicy) Restore(lc *Lifecycle, at time.Time) State {
 	lc.transient(RollingBack)
 	sec := lc.SecondaryRuntime()
@@ -367,29 +377,31 @@ func (hp *HybridPolicy) Restore(lc *Lifecycle, at time.Time) State {
 	adopted := false
 	if !hp.opts.NoReadState {
 		units = snap.ElementUnits()
-		// The state transfer is a real message so its size is accounted in
-		// the experiment's overhead figures (Figure 10).
 		if state, err := snap.Encode(); err == nil {
+			select {
+			case <-lc.readState: // a response that outlived an earlier wait
+			default:
+			}
 			sec.Machine().Send(pri.Node(), transport.Message{
 				Kind:         transport.KindReadStateResp,
 				Stream:       subjob.ReadStateStream(lc.cfg.Spec.ID),
 				State:        state,
 				ElementCount: units,
 			})
+			var got []byte
 			select {
-			case <-lc.rsAckCh:
+			case got = <-lc.readState:
 			case <-lc.clk.After(5 * time.Second):
 			case <-lc.stop:
 				return RollingBack
 			}
-		}
-		pri.WithPaused(func() {
-			if positionsCover(snap.Consumed, pri.ConsumedPositions()) {
-				if err := pri.Restore(snap); err == nil {
-					adopted = true
-				}
+			if got != nil {
+				// The fold refreshes only a parked copy.
+				pri.Suspend()
+				adopted = Fold(pri, got) == checkpoint.Folded
+				pri.Resume()
 			}
-		})
+		}
 	}
 
 	if hp.opts.NoPreDeploy {
@@ -408,18 +420,6 @@ func (hp *HybridPolicy) Restore(lc *Lifecycle, at time.Time) State {
 		Adopted:    adopted,
 	})
 	return Protected
-}
-
-// positionsCover reports whether the standby's positions are at or beyond
-// the primary's on every stream — the guard that prevents a rollback after
-// a false alarm from regressing a primary that was actually ahead.
-func positionsCover(standby, primary map[string]uint64) bool {
-	for s, v := range primary {
-		if standby[s] < v {
-			return false
-		}
-	}
-	return true
 }
 
 // Promote implements StandbyPolicy: the activated standby becomes the
@@ -546,16 +546,4 @@ func (hp *HybridPolicy) Rearm(lc *Lifecycle, at time.Time) State {
 	}
 	lc.recordRearm(RearmEvent{At: lc.clk.Now(), Host: string(target.ID())})
 	return Protected
-}
-
-// seedStandby synchronously copies the live primary's state into a
-// freshly created (still suspended) standby, so the standby holds the
-// primary's output sequence space and consumed positions from the moment
-// it exists; the sweeping chain refreshes it from this baseline. Snapshot
-// (not CaptureFull) leaves the primary's delta tracking untouched, so a
-// checkpoint manager still winding down on the same runtime is unharmed.
-func seedStandby(pri, sec *subjob.Runtime) error {
-	var snap *subjob.Snapshot
-	pri.WithPaused(func() { snap = pri.Snapshot() })
-	return sec.Restore(snap)
 }

@@ -513,3 +513,44 @@ func TestPolicyTraceCharacterisation(t *testing.T) {
 		})
 	}
 }
+
+// TestReadStateTravelsAsAMessage loses the rollback's read-state response
+// in transit — the primary's handler is gone — and lets the five-second
+// wait run out. The primary adopts nothing: the state it would read exists
+// only in the message it never received.
+func TestReadStateTravelsAsAMessage(t *testing.T) {
+	pt := newPolicyTrace(t, NewHybridPolicy(Options{FailStopAfter: 250 * time.Millisecond}))
+	for _, s := range hybridScript[:3] { // arm, ckpt 7, miss
+		s.do(pt)
+	}
+	// Nothing but the rollback's wait may act on the clock from here on.
+	pt.lc.Detector().Stop()
+	pri := pt.lc.PrimaryRuntime()
+	pri.Machine().UnregisterStream(subjob.ReadStateStream("j/sj"))
+	before := pri.ConsumedPositions()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pt.event(EventRecovery)
+	}()
+	for waiting := true; waiting; {
+		select {
+		case <-done:
+			waiting = false
+		case <-time.After(time.Millisecond):
+			pt.clk.Advance(time.Second)
+		}
+	}
+
+	rbs := pt.lc.Rollbacks()
+	if len(rbs) != 1 || rbs[0].Adopted {
+		t.Fatalf("rollbacks %+v, want one that adopted nothing", rbs)
+	}
+	if got := pri.ConsumedPositions(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("primary positions %v after a lost read-state, want %v", got, before)
+	}
+	if st := pt.lc.State(); st != Protected {
+		t.Fatalf("state %v after the rollback, want protected", st)
+	}
+}

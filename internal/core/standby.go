@@ -68,6 +68,19 @@ func (s *StandbyStore) LastRefresh() time.Time {
 	return s.sb.lastRefresh
 }
 
+// Fold folds payload, an encoded full or delta checkpoint, into rt, a
+// suspended copy, through the standby target's fold. It is how state moves
+// into a copy from another: rollback read-state, re-arm seeding and live
+// rescale all end here. A payload that does not decode is Failed.
+func Fold(rt *subjob.Runtime, payload []byte) checkpoint.Outcome {
+	sb := &standby{rt: rt}
+	snap, d, err := sb.Decode(payload)
+	if err != nil {
+		return checkpoint.Failed
+	}
+	return sb.Apply(snap, d)
+}
+
 // standby is the checkpoint.Target of a pre-deployed hybrid or approx
 // standby: the suspended copy.
 type standby struct {
@@ -170,4 +183,17 @@ func (sb *standby) refresh(consumed map[string]uint64, apply func() error) check
 		sb.mu.Unlock()
 	}
 	return out
+}
+
+// positionsCover reports whether the positions of the state being folded
+// are at or beyond the receiving copy's on every stream. Besides guarding
+// a standby against stale checkpoints, it keeps a rollback after a false
+// alarm from regressing a primary that was actually ahead.
+func positionsCover(from, into map[string]uint64) bool {
+	for s, v := range into {
+		if from[s] < v {
+			return false
+		}
+	}
+	return true
 }

@@ -425,19 +425,26 @@ func (p *Pipeline) buildGroup(i, k int, def SubjobDef) (*Group, error) {
 	}
 
 	g := &Group{Def: def, Spec: spec, Mode: def.Mode, Stage: i, Part: part}
+	p.protect(g, pol, primary, secondary, secM, spareM)
+	return g, nil
+}
+
+// protect gives group g its lifecycle over pri and the pre-created standby
+// sec (nil if the policy creates its own), with the pipeline's placer and
+// re-arm period.
+func (p *Pipeline) protect(g *Group, pol core.StandbyPolicy, pri, sec *subjob.Runtime, secM, spareM *machine.Machine) {
 	g.HA = core.NewLifecycle(core.LifecycleConfig{
-		Spec:             spec,
-		Clock:            cl.Clock(),
-		Primary:          primary,
-		Secondary:        secondary,
+		Spec:             g.Spec,
+		Clock:            p.cfg.Cluster.Clock(),
+		Primary:          pri,
+		Secondary:        sec,
 		SecondaryMachine: secM,
-		SpareMachine:     spareM, // nil if unset
-		Wiring:           p.wiringFor(i, g),
+		SpareMachine:     spareM,
+		Wiring:           p.wiringFor(g.Stage, g),
 		Policy:           pol,
 		Placer:           p.placer,
 		RearmInterval:    p.cfg.RearmInterval,
 	})
-	return g, nil
 }
 
 // placementReq carries one group's machine names into resolvePlacement;

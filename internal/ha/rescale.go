@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"streamha/internal/checkpoint"
 	"streamha/internal/core"
 	"streamha/internal/subjob"
 )
@@ -124,28 +125,36 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 	donorGroup := instances[donorIdx]
 	donor := donorGroup.HA.PrimaryRuntime()
 
-	// Deploy the new instance suspended, with its partition guard installed
-	// before any element can reach it. Its output stream is new: the sink
-	// learns it first, then the instance subscribes the sink actively (the
-	// output queue is empty, so the active subscription carries nothing yet).
-	newStream := p.outStream(stage, n)
-	p.mu.Lock()
-	p.linkStreams[stage+1] = append(p.linkStreams[stage+1], newStream)
-	p.mu.Unlock()
-
 	spec := subjob.Spec{
 		JobID:     p.cfg.JobID,
 		ID:        p.specID(stage, n),
 		InStreams: append([]string(nil), p.linkStreams[stage]...),
 		Owners:    p.ownersFor(stage),
-		OutStream: newStream,
+		OutStream: p.outStream(stage, n),
 		PEs:       def.PEs,
 		BatchSize: def.BatchSize,
 	}
-	priM := cl.Machine(pl.Primary)
-	if priM == nil {
-		return nil, fmt.Errorf("ha: ScaleOut: unknown primary machine %q", pl.Primary)
+	// Resolve every machine before deploying anything, so a bad name leaves
+	// the stage, its links and the routing table as they were.
+	pol := policyFor(def.Mode, p.cfg.Hybrid, p.cfg.PS, p.cfg.Approx, p.cfg.AckInterval)
+	priM, secM, spareM, err := resolvePlacement(cl, p.placer, placementReq{
+		Subjob:       spec.ID,
+		Primary:      pl.Primary,
+		Secondary:    pl.Secondary,
+		Spare:        pl.Spare,
+		NeedsStandby: pol.NeedsStandbyMachine(),
+	})
+	if err != nil {
+		return nil, err
 	}
+
+	// Deploy the new instance suspended, with its partition guard installed
+	// before any element can reach it. Its output stream is new: the sink
+	// learns it first, then the instance subscribes the sink actively (the
+	// output queue is empty, so the active subscription carries nothing yet).
+	p.mu.Lock()
+	p.linkStreams[stage+1] = append(p.linkStreams[stage+1], spec.OutStream)
+	p.mu.Unlock()
 	rt, err := subjob.New(spec, priM, true)
 	if err != nil {
 		return nil, err
@@ -153,8 +162,8 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 	rt.SetInputPartition(split, n)
 	rt.Start()
 
-	p.sink.AddInput(newStream, spec.ID)
-	rt.Out().SubscribePart(p.sink.Node(), subjob.DataStream(p.sink.ID(), newStream), true, -1)
+	p.sink.AddInput(spec.OutStream, spec.ID)
+	rt.Out().SubscribePart(p.sink.Node(), subjob.DataStream(p.sink.ID(), spec.OutStream), true, -1)
 
 	// Early inactive upstream connections, filtered to the new instance's
 	// (currently empty) partition set.
@@ -172,58 +181,43 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 
 	rep := &RescaleReport{Stage: stage, NewInstance: n, Donor: donorIdx, Moved: moved}
 
-	// Round 1: full snapshot, shipped encoded, while the donor serves on.
-	var snapBytes []byte
-	donor.WithPaused(func() {
-		s := donor.CaptureFull()
-		snapBytes, err = s.Encode()
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ha: ScaleOut: encode snapshot: %w", err)
-	}
-	snap, err := subjob.DecodeSnapshot(snapBytes)
-	if err != nil {
-		return nil, fmt.Errorf("ha: ScaleOut: decode snapshot: %w", err)
-	}
-	if err := rt.AdoptSnapshot(snap); err != nil {
-		return nil, fmt.Errorf("ha: ScaleOut: adopt snapshot: %w", err)
-	}
-	rep.FullBytes = len(snapBytes)
-
-	shipDelta := func() error {
-		var deltaBytes []byte
-		ok := true
-		donor.WithPaused(func() {
-			d, dok := donor.CaptureDelta(subjob.DeltaOptions{OnlyPE: -1})
-			if !dok {
-				ok = false
-				return
-			}
-			deltaBytes, err = d.Encode()
-		})
-		if !ok {
-			return fmt.Errorf("ha: ScaleOut: donor cannot express delta; state was restored mid-rescale")
+	// syncRound ships the paused donor's state, in full or what changed since
+	// the last round, addressed to the new instance, encoded, and folded
+	// there. No round carries the donor's output queue.
+	syncRound := func(full bool) error {
+		var d *subjob.Delta
+		if full {
+			d = donor.CaptureFull().AsDelta()
+		} else {
+			// Without an output section a delta capture cannot fail.
+			d, _ = donor.CaptureDelta(subjob.DeltaOptions{OnlyPE: -1})
 		}
+		d.SubjobID = spec.ID
+		payload, err := d.Encode()
 		if err != nil {
-			return fmt.Errorf("ha: ScaleOut: encode delta: %w", err)
+			return fmt.Errorf("ha: ScaleOut: encode sync round: %w", err)
 		}
-		d, err := subjob.DecodeDelta(deltaBytes)
-		if err != nil {
-			return fmt.Errorf("ha: ScaleOut: decode delta: %w", err)
+		if out := core.Fold(rt, payload); out != checkpoint.Folded {
+			return fmt.Errorf("ha: ScaleOut: new instance did not fold sync round (outcome %d)", out)
 		}
-		if err := rt.AdoptDelta(d); err != nil {
-			return fmt.Errorf("ha: ScaleOut: adopt delta: %w", err)
+		if full {
+			rep.FullBytes = len(payload)
+		} else {
+			rep.DeltaBytes += len(payload)
+			rep.Rounds++
 		}
-		rep.DeltaBytes += len(deltaBytes)
-		rep.Rounds++
 		return nil
 	}
 
-	// Chained delta rounds: the donor keeps processing between captures, so
-	// each round ships only what changed and the final gap stays small.
-	for i := 0; i < opt.SyncRounds; i++ {
-		clk.Sleep(opt.RoundGap)
-		if err := shipDelta(); err != nil {
+	// A full round, then chained delta rounds: the donor keeps processing
+	// between captures, so each round ships only what changed and the final
+	// gap stays small.
+	for i := 0; i <= opt.SyncRounds; i++ {
+		if i > 0 {
+			clk.Sleep(opt.RoundGap)
+		}
+		donor.WithPaused(func() { err = syncRound(i == 0) })
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -235,14 +229,17 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 	for _, up := range ups {
 		up.Activate(donor.Node(), false)
 	}
+	reopen := func() {
+		for _, up := range ups {
+			up.Activate(donor.Node(), true)
+		}
+	}
 	deadline := clk.Now().Add(opt.DrainTimeout)
 	var cutErr error
 	for settled := false; !settled; {
 		for donor.Backlog() > 0 {
 			if clk.Now().After(deadline) {
-				for _, up := range ups {
-					up.Activate(donor.Node(), true)
-				}
+				reopen()
 				return nil, fmt.Errorf("ha: ScaleOut: donor backlog did not drain within %v", opt.DrainTimeout)
 			}
 			clk.Sleep(500 * time.Microsecond)
@@ -252,32 +249,15 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 			// last read zero may have landed since, and a PE finishing it
 			// while parking would leave its outputs in a pipe. A delta
 			// shipped with a non-empty pipe is processed by both sides —
-			// the adopter after Resume and the donor after unpause — so
+			// the new instance after Resume and the donor after unpause — so
 			// retry the drain until the quiescent backlog really is zero.
 			if donor.Backlog() > 0 {
 				return
 			}
 			settled = true
-			d, dok := donor.CaptureDelta(subjob.DeltaOptions{OnlyPE: -1})
-			if !dok {
-				cutErr = fmt.Errorf("ha: ScaleOut: donor cannot express final delta")
+			if cutErr = syncRound(false); cutErr != nil {
 				return
 			}
-			var deltaBytes []byte
-			deltaBytes, cutErr = d.Encode()
-			if cutErr != nil {
-				return
-			}
-			var dd *subjob.Delta
-			dd, cutErr = subjob.DecodeDelta(deltaBytes)
-			if cutErr != nil {
-				return
-			}
-			if cutErr = rt.AdoptDelta(dd); cutErr != nil {
-				return
-			}
-			rep.DeltaBytes += len(deltaBytes)
-			rep.Rounds++
 			// Flip ownership while both sides are quiescent, then purge moved
 			// elements the donor had buffered: from here on the guard routes
 			// them to the new instance via upstream replay.
@@ -287,41 +267,26 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 			donor.In().Repartition()
 		})
 		if cutErr != nil {
-			for _, up := range ups {
-				up.Activate(donor.Node(), true)
-			}
+			reopen()
 			return nil, cutErr
 		}
 	}
 
 	// Serve: resume the new instance, then open both feeds. Activation
 	// replays everything unacknowledged through each subscription's filter,
-	// and the adopted consumed positions dedup what the donor already
+	// and the folded consumed positions dedup what the donor already
 	// processed.
 	rt.Resume()
 	for _, up := range ups {
 		up.Activate(rt.Node(), true)
-		up.Activate(donor.Node(), true)
 	}
+	reopen()
 	cutEnd := clk.Now()
 	rep.CutoverPause = cutEnd.Sub(cutStart)
 
 	// Protect the new instance: a full HA group, same mode as its stage.
 	g := &Group{Def: def, Spec: spec, Mode: def.Mode, Stage: stage, Part: n}
-	pol := policyFor(def.Mode, p.cfg.Hybrid, p.cfg.PS, p.cfg.Approx, p.cfg.AckInterval)
-	secM := cl.Machine(pl.Secondary)
-	if pol.NeedsStandbyMachine() && secM == nil {
-		return nil, fmt.Errorf("ha: ScaleOut: unknown secondary machine %q", pl.Secondary)
-	}
-	g.HA = core.NewLifecycle(core.LifecycleConfig{
-		Spec:             spec,
-		Clock:            clk,
-		Primary:          rt,
-		SecondaryMachine: secM,
-		SpareMachine:     cl.Machine(pl.Spare),
-		Wiring:           p.wiringFor(stage, g),
-		Policy:           pol,
-	})
+	p.protect(g, pol, rt, nil, secM, spareM)
 	p.mu.Lock()
 	p.stages[stage] = append(p.stages[stage], g)
 	reg := p.reg

@@ -1,6 +1,7 @@
 package ha_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -276,5 +277,53 @@ func TestRescaleRejectsActive(t *testing.T) {
 	}
 	if _, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "x"}, ha.RescaleOptions{}); err == nil {
 		t.Fatal("ScaleOut accepted an active-standby stage")
+	}
+}
+
+// TestRescaleValidatesPlacementFirst: a ScaleOut that names an unknown
+// primary, secondary or spare machine fails before it deploys anything —
+// no instance joins the stage, no output stream joins the sink's link and
+// no partition moves — so a corrected retry rescales exactly once.
+func TestRescaleValidatesPlacementFirst(t *testing.T) {
+	cl, p := buildRescaleTestbed(t)
+	clk := cl.Clock()
+	clk.Sleep(200 * time.Millisecond)
+
+	split := p.StagePartitioner(0)
+	ownership := func() [][]int {
+		var o [][]int
+		for k := 0; k < split.Instances(); k++ {
+			o = append(o, split.OwnedBy(k))
+		}
+		return o
+	}
+	owned, links := ownership(), p.LinkStreams(1)
+	for _, pl := range []ha.RescalePlacement{
+		{Primary: "nowhere", Secondary: "s-new"},
+		{Primary: "p-new", Secondary: "nowhere"},
+		{Primary: "p-new", Secondary: "s-new", Spare: "nowhere"},
+	} {
+		if _, err := p.ScaleOut(0, pl, ha.RescaleOptions{}); err == nil {
+			t.Fatalf("ScaleOut accepted %+v", pl)
+		}
+		if n := len(p.StageInstances(0)); n != 2 {
+			t.Fatalf("after %+v the stage has %d instances, want 2", pl, n)
+		}
+		if got := p.LinkStreams(1); !reflect.DeepEqual(got, links) {
+			t.Fatalf("after %+v the sink's link is %v, want %v", pl, got, links)
+		}
+		if got := ownership(); !reflect.DeepEqual(got, owned) {
+			t.Fatalf("after %+v partition ownership is %v, want %v", pl, got, owned)
+		}
+	}
+
+	if _, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "p-new", Secondary: "s-new"}, ha.RescaleOptions{}); err != nil {
+		t.Fatalf("ScaleOut: %v", err)
+	}
+	clk.Sleep(300 * time.Millisecond)
+	drainPipeline(p, clk)
+	verifyExactlyOnce(t, p, 1)
+	if got, emitted := len(p.Sink().IDCounts()), p.Source().Emitted(); uint64(got) != emitted {
+		t.Fatalf("sink holds %d of %d emitted elements", got, emitted)
 	}
 }

@@ -63,6 +63,26 @@ func (d *Delta) ElementUnits() int {
 	return n
 }
 
+// AsDelta returns the snapshot as a delta that replaces every PE's state
+// and every pipe and carries no output section: folded into another copy,
+// it moves this copy's state but leaves the receiver's output queue, and so
+// its sequence space, alone. The delta shares the snapshot's slices.
+func (s *Snapshot) AsDelta() *Delta {
+	set := make([]bool, len(s.Pipes))
+	for i := range set {
+		set[i] = true
+	}
+	return &Delta{
+		SubjobID:   s.SubjobID,
+		Consumed:   s.Consumed,
+		PEDeltas:   make([][]byte, len(s.PEStates)),
+		PEFull:     s.PEStates,
+		Pipes:      s.Pipes,
+		PipeSet:    set,
+		StateUnits: s.StateUnits,
+	}
+}
+
 // ApplyDelta folds a delta into a full snapshot image: patched PE states,
 // replaced pipes/input, and an advanced output window. The snapshot keeps
 // the delta's slices, which for a decoded delta alias its payload, and

@@ -515,21 +515,8 @@ func (r *Runtime) ApplyDelta(d *Delta) error {
 			return fmt.Errorf("subjob %s: %w", r.spec.ID, err)
 		}
 	}
-	for i, p := range r.pes {
-		switch {
-		case d.PEFull[i] != nil:
-			if err := p.Logic().Restore(d.PEFull[i]); err != nil {
-				return fmt.Errorf("subjob %s: apply PE %d full state: %w", r.spec.ID, i, err)
-			}
-		case d.PEDeltas[i] != nil:
-			dl, ok := p.Logic().(pe.DeltaLogic)
-			if !ok {
-				return fmt.Errorf("subjob %s: PE %d received a delta but its logic cannot apply one", r.spec.ID, i)
-			}
-			if err := dl.ApplyDelta(d.PEDeltas[i]); err != nil {
-				return fmt.Errorf("subjob %s: apply PE %d delta: %w", r.spec.ID, i, err)
-			}
-		}
+	if err := r.applyPEs(d.PEFull, d.PEDeltas); err != nil {
+		return err
 	}
 	for i, pp := range r.pipes {
 		if d.PipeSet[i] {
@@ -596,21 +583,8 @@ func (r *Runtime) ApplyPartial(p *Partial) error {
 	if len(p.PEPatches) != len(r.pes) || len(p.PEFull) != len(r.pes) {
 		return fmt.Errorf("subjob %s: partial shape mismatch", r.spec.ID)
 	}
-	for i, pr := range r.pes {
-		switch {
-		case p.PEFull[i] != nil:
-			if err := pr.Logic().Restore(p.PEFull[i]); err != nil {
-				return fmt.Errorf("subjob %s: apply PE %d full state: %w", r.spec.ID, i, err)
-			}
-		case p.PEPatches[i] != nil:
-			dl, ok := pr.Logic().(pe.DeltaLogic)
-			if !ok {
-				return fmt.Errorf("subjob %s: PE %d received a patch but its logic cannot apply one", r.spec.ID, i)
-			}
-			if err := dl.ApplyDelta(p.PEPatches[i]); err != nil {
-				return fmt.Errorf("subjob %s: apply PE %d patch: %w", r.spec.ID, i, err)
-			}
-		}
+	if err := r.applyPEs(p.PEFull, p.PEPatches); err != nil {
+		return err
 	}
 	r.out.FastForward(p.OutNext)
 	if p.Consumed != nil {
@@ -620,74 +594,32 @@ func (r *Runtime) ApplyPartial(p *Partial) error {
 	return nil
 }
 
+// applyPEs folds per-PE state into the copy: PE i restores full[i], else
+// applies the byte-range patch patches[i], else keeps its state.
+func (r *Runtime) applyPEs(full, patches [][]byte) error {
+	for i, p := range r.pes {
+		switch {
+		case full[i] != nil:
+			if err := p.Logic().Restore(full[i]); err != nil {
+				return fmt.Errorf("subjob %s: apply PE %d full state: %w", r.spec.ID, i, err)
+			}
+		case patches[i] != nil:
+			dl, ok := p.Logic().(pe.DeltaLogic)
+			if !ok {
+				return fmt.Errorf("subjob %s: PE %d received a patch but its logic cannot apply one", r.spec.ID, i)
+			}
+			if err := dl.ApplyDelta(patches[i]); err != nil {
+				return fmt.Errorf("subjob %s: apply PE %d patch: %w", r.spec.ID, i, err)
+			}
+		}
+	}
+	return nil
+}
+
 // SetInputPartition installs the input queue's partition guard: this copy
 // serves partition-instance part of the stage routed by split.
 func (r *Runtime) SetInputPartition(split *queue.Partitioner, part int) {
 	r.in.SetPartition(split, part)
-}
-
-// AdoptSnapshot seeds this copy from a *donor instance's* full snapshot
-// during a live rescaling: PE states, pipe contents and consumption
-// positions are taken over, while the output queue and the copy's own
-// identity are deliberately left alone — the adopting instance publishes a
-// fresh stream of its own and must not inherit the donor's sequence space.
-// Unlike Restore, the snapshot's SubjobID is allowed to differ. The copy
-// must be suspended.
-func (r *Runtime) AdoptSnapshot(s *Snapshot) error {
-	if len(s.PEStates) != len(r.pes) || len(s.Pipes) != len(r.pipes) {
-		return fmt.Errorf("subjob %s: adopted snapshot shape mismatch", r.spec.ID)
-	}
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	for i, p := range r.pes {
-		if err := p.Logic().Restore(s.PEStates[i]); err != nil {
-			return fmt.Errorf("subjob %s: adopt PE %d: %w", r.spec.ID, i, err)
-		}
-	}
-	for i, pp := range r.pipes {
-		pp.Restore(s.Pipes[i])
-	}
-	r.pes[0].SetConsumedPositions(s.Consumed)
-	r.in.SetAccepted(s.Consumed)
-	return nil
-}
-
-// AdoptDelta folds a donor instance's delta checkpoint into this copy — the
-// incremental refresh of a live rescaling's state sync. Like AdoptSnapshot
-// it skips the output queue and the SubjobID check; the delta must have
-// been captured without output coverage. The copy must be suspended.
-func (r *Runtime) AdoptDelta(d *Delta) error {
-	if len(d.PEDeltas) != len(r.pes) || len(d.PEFull) != len(r.pes) || len(d.Pipes) != len(r.pipes) {
-		return fmt.Errorf("subjob %s: adopted delta shape mismatch", r.spec.ID)
-	}
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-	for i, p := range r.pes {
-		switch {
-		case d.PEFull[i] != nil:
-			if err := p.Logic().Restore(d.PEFull[i]); err != nil {
-				return fmt.Errorf("subjob %s: adopt PE %d full state: %w", r.spec.ID, i, err)
-			}
-		case d.PEDeltas[i] != nil:
-			dl, ok := p.Logic().(pe.DeltaLogic)
-			if !ok {
-				return fmt.Errorf("subjob %s: PE %d received a delta but its logic cannot apply one", r.spec.ID, i)
-			}
-			if err := dl.ApplyDelta(d.PEDeltas[i]); err != nil {
-				return fmt.Errorf("subjob %s: adopt PE %d delta: %w", r.spec.ID, i, err)
-			}
-		}
-	}
-	for i, pp := range r.pipes {
-		if d.PipeSet[i] {
-			pp.Restore(d.Pipes[i])
-		}
-	}
-	if d.Consumed != nil {
-		r.pes[0].SetConsumedPositions(d.Consumed)
-		r.in.SetAccepted(d.Consumed)
-	}
-	return nil
 }
 
 // noteSender remembers that node delivered data on logical, making it an
