@@ -9,11 +9,6 @@
 //
 // Figures: 1, 2 (covers 3), 4, 5, 6, 7, 8, 9 (covers 10), 11, 12 (covers
 // 13), plus "sweeping" (Section III), "ablation" (Section IV-B),
-// "throughput" (data-plane publish/ack/trim microbenchmarks),
-// "delaystats" (observability-plane record/query microbenchmarks),
-// "wire" (frame codec and latency-scheduler microbenchmarks) and
-// "checkpoint" (snapshot codec, pause-window and shipped-volume
-// microbenchmarks; -smoke runs its fast codec subset only) and
 // "lifecycle" (control-plane transition logs per standby policy under a
 // scripted stall + fail-stop) and "scale" (keyed-parallelism throughput
 // at 1/2/4/8 partition instances plus a live 2->3 rescale with
@@ -43,9 +38,9 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1,2,4,5,6,7,8,9,11,12,sweeping,ablation,throughput,delaystats,wire,checkpoint,lifecycle,scale,placement,approx or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1,2,4,5,6,7,8,9,11,12,sweeping,ablation,lifecycle,scale,placement,approx or all")
 	quick := flag.Bool("quick", false, "reduced sweeps and repeats for a fast look")
-	smoke := flag.Bool("smoke", false, "health-check subset for CI (affects -fig checkpoint, scale, approx)")
+	smoke := flag.Bool("smoke", false, "health-check subset for CI (affects -fig scale, placement, approx)")
 	jsonPath := flag.String("json", "", "also write the results as JSON (figure -> metric -> value) to this path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
@@ -257,30 +252,6 @@ func run(fig string, quick, smoke bool, jsonPath string) error {
 		show(r.Table(), time.Since(start))
 	}
 
-	if want("throughput") {
-		start := time.Now()
-		r := experiment.RunThroughput()
-		show(r.Table(), time.Since(start))
-	}
-
-	if want("delaystats") {
-		start := time.Now()
-		r := experiment.RunDelayStats()
-		show(r.Table(), time.Since(start))
-	}
-
-	if want("wire") {
-		start := time.Now()
-		r := experiment.RunWire()
-		show(r.Table(), time.Since(start))
-	}
-
-	if want("checkpoint") {
-		start := time.Now()
-		r := experiment.RunCheckpoint(smoke)
-		show(r.Table(), time.Since(start))
-	}
-
 	if want("lifecycle") {
 		start := time.Now()
 		r, err := experiment.RunLifecycle(params)
@@ -324,7 +295,7 @@ func run(fig string, quick, smoke bool, jsonPath string) error {
 
 	if !ran {
 		return fmt.Errorf("unknown figure %q (try: %s)", fig,
-			strings.Join([]string{"1", "2", "4", "5", "6", "7", "8", "9", "11", "12", "sweeping", "ablation", "throughput", "delaystats", "wire", "checkpoint", "lifecycle", "scale", "placement", "approx", "all"}, ", "))
+			strings.Join([]string{"1", "2", "4", "5", "6", "7", "8", "9", "11", "12", "sweeping", "ablation", "lifecycle", "scale", "placement", "approx", "all"}, ", "))
 	}
 	if jsonPath != "" {
 		blob, err := json.MarshalIndent(collected, "", "  ")

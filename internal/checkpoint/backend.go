@@ -191,9 +191,6 @@ func NewDiskBackend(dir string) (*DiskBackend, error) {
 	return &DiskBackend{root: dir, manifests: make(map[string]*manifest)}, nil
 }
 
-// Root returns the backend's root directory.
-func (d *DiskBackend) Root() string { return d.root }
-
 func subjobDirName(sj string) string { return url.PathEscape(sj) }
 
 func payloadName(seq uint64) string { return fmt.Sprintf("%016x%s", seq, ckptSuffix) }

@@ -87,9 +87,6 @@ func NewApproxPolicy(o Options, b ErrorBudget) *ApproxPolicy {
 	}
 }
 
-// Budget returns the configured error budget.
-func (ap *ApproxPolicy) Budget() ErrorBudget { return ap.budget }
-
 // Mode implements StandbyPolicy.
 func (ap *ApproxPolicy) Mode() string { return "approx" }
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"streamha/internal/cluster"
@@ -146,16 +145,4 @@ func (r *LifecycleResult) Table() Table {
 		}
 	}
 	return t
-}
-
-// Summary returns a compact one-line-per-mode digest, used by tests.
-func (r *LifecycleResult) Summary() string {
-	var b strings.Builder
-	for _, row := range r.Rows {
-		s := row.Stats
-		fmt.Fprintf(&b, "%s: state=%s sw=%d rb=%d mig=%d pro=%d trs=%d\n",
-			row.Mode, s.State, s.Switchovers, s.Rollbacks, s.Migrations, s.Promotions,
-			len(row.Transitions))
-	}
-	return b.String()
 }

@@ -296,10 +296,15 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		p.linkStreams[i+1] = streams
 	}
 
-	// Source.
+	// Source and sink machines first: a bad name fails before any copy
+	// starts.
 	srcM := cl.Machine(cfg.Source.Machine)
 	if srcM == nil {
 		return nil, fmt.Errorf("ha: unknown source machine %q", cfg.Source.Machine)
+	}
+	sinkM := cl.Machine(cfg.SinkMachine)
+	if sinkM == nil {
+		return nil, fmt.Errorf("ha: unknown sink machine %q", cfg.SinkMachine)
 	}
 	p.source = cluster.NewSource(cluster.SourceConfig{
 		Machine:     srcM,
@@ -318,12 +323,16 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	// Copies (phase A): create every runtime before any wiring so that
 	// standby-to-standby early connections can be created uniformly. The
 	// lifecycles are constructed here too — their wiring closures resolve
-	// lazily — but armed only in Start.
+	// lazily — but armed only in Start. A failed build stops every copy
+	// the groups before it started.
 	p.stages = make([][]*Group, len(cfg.Subjobs))
 	for i, def := range cfg.Subjobs {
 		for k := 0; k < def.instances(); k++ {
 			g, err := p.buildGroup(i, k, def)
 			if err != nil {
+				for _, st := range p.stages {
+					stopCopies(st...)
+				}
 				return nil, err
 			}
 			p.stages[i] = append(p.stages[i], g)
@@ -331,10 +340,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	}
 
 	// Sink.
-	sinkM := cl.Machine(cfg.SinkMachine)
-	if sinkM == nil {
-		return nil, fmt.Errorf("ha: unknown sink machine %q", cfg.SinkMachine)
-	}
 	lastLink := len(p.linkStreams) - 1
 	p.sink = cluster.NewSink(cluster.SinkConfig{
 		Machine:     sinkM,
@@ -407,26 +412,45 @@ func (p *Pipeline) buildGroup(i, k int, def SubjobDef) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	primary, err := subjob.New(spec, priM, false)
+	primary, secondary, err := startCopies(spec, pol, priM, secM, plumb)
 	if err != nil {
 		return nil, err
 	}
-	plumb(primary)
-	primary.Start()
-
-	var secondary *subjob.Runtime
-	if create, suspended := pol.PreDeploy(); create {
-		secondary, err = subjob.New(spec, secM, suspended)
-		if err != nil {
-			return nil, err
-		}
-		plumb(secondary)
-		secondary.Start()
-	}
-
 	g := &Group{Def: def, Spec: spec, Mode: def.Mode, Stage: i, Part: part}
 	p.protect(g, pol, primary, secondary, secM, spareM)
 	return g, nil
+}
+
+// startCopies creates the primary on priM and, if the policy pre-deploys
+// one, the standby on secM, and starts them only once both exist, each
+// plumbed first, so an error leaves nothing running.
+func startCopies(spec subjob.Spec, pol core.StandbyPolicy, priM, secM *machine.Machine, plumb func(*subjob.Runtime)) (pri, sec *subjob.Runtime, err error) {
+	if pri, err = subjob.New(spec, priM, false); err != nil {
+		return nil, nil, err
+	}
+	copies := []*subjob.Runtime{pri}
+	if create, suspended := pol.PreDeploy(); create {
+		if sec, err = subjob.New(spec, secM, suspended); err != nil {
+			return nil, nil, err
+		}
+		copies = append(copies, sec)
+	}
+	for _, rt := range copies {
+		plumb(rt)
+		rt.Start()
+	}
+	return pri, sec, nil
+}
+
+// stopCopies stops the copies of groups whose lifecycles never started,
+// which Lifecycle.Stop leaves alone.
+func stopCopies(groups ...*Group) {
+	for _, g := range groups {
+		if sec := g.SecondaryRuntime(); sec != nil {
+			sec.Stop()
+		}
+		g.PrimaryRuntime().Stop()
+	}
 }
 
 // protect gives group g its lifecycle over pri and the pre-created standby
@@ -609,9 +633,6 @@ func (p *Pipeline) AllGroups() []*Group {
 	}
 	return out
 }
-
-// Stages returns the number of stages in the chain.
-func (p *Pipeline) Stages() int { return len(p.cfg.Subjobs) }
 
 // Streams returns the base link stream names, source stream first. A
 // keyed-parallel stage's instances suffix ".p<k>" to their link's base

@@ -1,6 +1,8 @@
 package ha_test
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,12 +26,42 @@ func cheapPEs(n int) []subjob.PESpec {
 	return pes
 }
 
+// peLoops counts the PE loop goroutines, pe.(*PE).run. They are matched
+// by their creator, because one not yet scheduled shows no run frame.
+func peLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by streamha/internal/pe.(*PE).Start")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// rejectsWithoutLeak checks that build fails and that, within 2 s, no PE
+// loop it started is left running.
+func rejectsWithoutLeak(t *testing.T, what string, build func() error) {
+	t.Helper()
+	before := peLoops()
+	if build() == nil {
+		t.Fatalf("%s accepted", what)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for peLoops() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s rejected with %d PE loops still running", what, peLoops()-before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestPipelineRejectsUnknownMachines(t *testing.T) {
 	cl := cluster.New(cluster.Config{})
 	defer cl.Close()
 	cl.MustAddMachine("src")
 	cl.MustAddMachine("sink")
 	cl.MustAddMachine("p0")
+	cl.MustAddMachine("s0")
 
 	base := ha.PipelineConfig{
 		Cluster:     cl,
@@ -37,38 +69,42 @@ func TestPipelineRejectsUnknownMachines(t *testing.T) {
 		Source:      ha.SourceDef{Machine: "src", Rate: 100},
 		SinkMachine: "sink",
 	}
+	rejects := func(what string, cfg ha.PipelineConfig) {
+		t.Helper()
+		rejectsWithoutLeak(t, what, func() error {
+			_, err := ha.NewPipeline(cfg)
+			return err
+		})
+	}
 
 	cfg := base
 	cfg.Subjobs = []ha.SubjobDef{{PEs: cheapPEs(1), Primary: "ghost"}}
-	if _, err := ha.NewPipeline(cfg); err == nil {
-		t.Fatal("unknown primary accepted")
-	}
+	rejects("unknown primary", cfg)
 
 	cfg = base
 	cfg.Subjobs = []ha.SubjobDef{{PEs: cheapPEs(1), Mode: ha.ModeHybrid, Primary: "p0", Secondary: "ghost"}}
-	if _, err := ha.NewPipeline(cfg); err == nil {
-		t.Fatal("unknown secondary accepted")
+	rejects("unknown secondary", cfg)
+
+	cfg = base
+	cfg.Subjobs = []ha.SubjobDef{
+		{PEs: cheapPEs(2), Mode: ha.ModeHybrid, Primary: "p0", Secondary: "s0"},
+		{PEs: cheapPEs(1), Primary: "ghost"},
 	}
+	rejects("unknown primary in a later stage", cfg)
 
 	cfg = base
 	cfg.Source.Machine = "ghost"
 	cfg.Subjobs = []ha.SubjobDef{{PEs: cheapPEs(1), Primary: "p0"}}
-	if _, err := ha.NewPipeline(cfg); err == nil {
-		t.Fatal("unknown source machine accepted")
-	}
+	rejects("unknown source machine", cfg)
 
 	cfg = base
 	cfg.SinkMachine = "ghost"
-	cfg.Subjobs = []ha.SubjobDef{{PEs: cheapPEs(1), Primary: "p0"}}
-	if _, err := ha.NewPipeline(cfg); err == nil {
-		t.Fatal("unknown sink machine accepted")
-	}
+	cfg.Subjobs = []ha.SubjobDef{{PEs: cheapPEs(1), Mode: ha.ModeHybrid, Primary: "p0", Secondary: "s0"}}
+	rejects("unknown sink machine", cfg)
 
 	cfg = base
 	cfg.Subjobs = nil
-	if _, err := ha.NewPipeline(cfg); err == nil {
-		t.Fatal("empty chain accepted")
-	}
+	rejects("empty chain", cfg)
 }
 
 func TestActiveStandbyTrafficMultiplier(t *testing.T) {

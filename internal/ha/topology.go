@@ -2,10 +2,12 @@ package ha
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"streamha/internal/cluster"
 	"streamha/internal/core"
+	"streamha/internal/machine"
 	"streamha/internal/queue"
 	"streamha/internal/sched"
 	"streamha/internal/subjob"
@@ -148,36 +150,46 @@ func NewTopology(cfg TopologyConfig) (*Topology, error) {
 		})
 	}
 
+	// Sink machines and inputs, before any copy starts.
+	sinkMs := make([]*machine.Machine, len(cfg.Sinks))
+	for i, sk := range cfg.Sinks {
+		if sinkMs[i] = cl.Machine(sk.Machine); sinkMs[i] == nil {
+			return nil, fmt.Errorf("ha: sink %s: unknown machine %q", sk.Name, sk.Machine)
+		}
+		for _, in := range sk.Inputs {
+			if !slices.Contains(order, in) {
+				return nil, fmt.Errorf("ha: sink %s: unknown input %q", sk.Name, in)
+			}
+		}
+	}
+
 	// Subjob copies and lifecycles (phase A), in topological order. The
 	// wiring closures resolve lazily, so forward references to groups not
-	// yet built are safe; lifecycles are armed in Start.
+	// yet built are safe; lifecycles are armed in Start. A failed build
+	// stops every copy the groups before it started.
 	for _, id := range order {
 		def := t.subjobDef(id)
 		g, err := t.buildGroup(def)
 		if err != nil {
+			for _, built := range t.groups {
+				stopCopies(built)
+			}
 			return nil, err
 		}
 		t.groups[id] = g
 	}
 
 	// Sinks.
-	for _, sk := range cfg.Sinks {
-		m := cl.Machine(sk.Machine)
-		if m == nil {
-			return nil, fmt.Errorf("ha: sink %s: unknown machine %q", sk.Name, sk.Machine)
-		}
+	for i, sk := range cfg.Sinks {
 		streams := make([]string, 0, len(sk.Inputs))
 		owners := make(map[string]string, len(sk.Inputs))
 		for _, in := range sk.Inputs {
-			if _, ok := t.groups[in]; !ok {
-				return nil, fmt.Errorf("ha: sink %s: unknown input %q", sk.Name, in)
-			}
 			st := t.streamOf(in)
 			streams = append(streams, st)
 			owners[st] = t.groups[in].Spec.ID
 		}
 		t.sinks[sk.Name] = cluster.NewSink(cluster.SinkConfig{
-			Machine:     m,
+			Machine:     sinkMs[i],
 			Clock:       cl.Clock(),
 			ID:          cfg.JobID + "/" + sk.Name,
 			InStreams:   streams,
@@ -318,19 +330,9 @@ func (t *Topology) buildGroup(def TopologySubjob) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	primary, err := subjob.New(spec, priM, false)
+	primary, secondary, err := startCopies(spec, pol, priM, secM, func(*subjob.Runtime) {})
 	if err != nil {
 		return nil, err
-	}
-	primary.Start()
-
-	var secondary *subjob.Runtime
-	if create, suspended := pol.PreDeploy(); create {
-		secondary, err = subjob.New(spec, secM, suspended)
-		if err != nil {
-			return nil, err
-		}
-		secondary.Start()
 	}
 
 	sjDef := SubjobDef{

@@ -164,6 +164,31 @@ func TestTopologyRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
+func TestTopologyRejectsWithoutLeak(t *testing.T) {
+	cl := cluster.New(cluster.Config{})
+	defer cl.Close()
+	for _, id := range []string{"m-src", "m-sink", "m-a", "m-a2"} {
+		cl.MustAddMachine(id)
+	}
+	topology := func(bPrimary, sinkMachine string) func() error {
+		return func() error {
+			_, err := ha.NewTopology(ha.TopologyConfig{
+				Cluster: cl,
+				JobID:   "dag",
+				Sources: []ha.TopologySource{{Name: "feed", Machine: "m-src", Rate: 100}},
+				Subjobs: []ha.TopologySubjob{
+					{ID: "a", Inputs: []string{"feed"}, PEs: cheapPEs(2), Mode: ha.ModeHybrid, Primary: "m-a", Secondary: "m-a2"},
+					{ID: "b", Inputs: []string{"a"}, PEs: cheapPEs(1), Primary: bPrimary},
+				},
+				Sinks: []ha.TopologySink{{Name: "out", Machine: sinkMachine, Inputs: []string{"b"}}},
+			})
+			return err
+		}
+	}
+	rejectsWithoutLeak(t, "unknown sink machine", topology("m-a", "ghost"))
+	rejectsWithoutLeak(t, "unknown primary in a later subjob", topology("ghost", "m-sink"))
+}
+
 func TestTopologyOrderIsTopological(t *testing.T) {
 	_, topo := diamondTopology(t, ha.ModeNone)
 	pos := map[string]int{}

@@ -156,13 +156,6 @@ func (p *PE) Resume() {
 	p.signalKick()
 }
 
-// Paused reports whether a pause is currently requested.
-func (p *PE) Paused() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pauseReq
-}
-
 // ConsumedPositions returns the highest input sequence number processed per
 // logical stream. Only meaningful for the first PE of a subjob, whose
 // source is the subjob input queue; positions become acknowledgments once

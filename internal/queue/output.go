@@ -176,18 +176,6 @@ func (o *Output) SubscribePart(node transport.NodeID, stream string, active bool
 	o.rebuildActiveLocked()
 }
 
-// PartOf returns the partition-instance index of the subscriber on node,
-// or -1 when the subscriber is unfiltered or unknown. HA policies use it to
-// give a standby the same partition view as the copy it protects.
-func (o *Output) PartOf(node transport.NodeID) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if s, ok := o.subs[node]; ok {
-		return s.part
-	}
-	return -1
-}
-
 // Unsubscribe removes the downstream copy on node.
 func (o *Output) Unsubscribe(node transport.NodeID) {
 	o.mu.Lock()

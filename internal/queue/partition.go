@@ -76,12 +76,6 @@ func (pt *Partitioner) Instance(key uint64) int {
 	return t[element.PartitionOf(key, len(t))]
 }
 
-// InstanceOfPartition returns the instance currently owning partition p.
-func (pt *Partitioner) InstanceOfPartition(p int) int {
-	t := *pt.table.Load()
-	return t[p]
-}
-
 // OwnedBy returns the logical partitions currently mapped to instance.
 func (pt *Partitioner) OwnedBy(instance int) []int {
 	t := *pt.table.Load()

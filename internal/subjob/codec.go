@@ -16,13 +16,14 @@
 // where strings and byte slices are length-prefixed, element batches are a
 // count followed by the element package's fixed-width encoding, consumed
 // maps are sorted by key for deterministic output, and the optional delta
-// sections carry a leading presence/kind byte. The legacy gob encoding has
-// no magic preamble and remains decodable (see DecodeSnapshot), keeping
-// old checkpoint producers interoperable.
+// sections carry a leading presence/kind byte. A payload that opens with
+// none of the three magics (SHS2, SHD2, SHP2) is rejected with
+// errNoMagic.
 package subjob
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -41,6 +42,10 @@ const (
 	peDelta  = 1
 	peFull   = 2
 )
+
+// errNoMagic rejects a checkpoint payload that opens with none of the
+// codec's magics.
+var errNoMagic = errors.New("subjob: checkpoint payload has no SHS2, SHD2 or SHP2 magic")
 
 func hasMagic(b []byte, magic string) bool {
 	return len(b) >= 4 && string(b[:4]) == magic
@@ -276,8 +281,7 @@ type Decoder struct {
 }
 
 // Decode parses an encoded checkpoint payload of either kind, as
-// DecodeCheckpoint does, into the decoder's own values. Legacy gob
-// payloads decode into fresh ones.
+// DecodeCheckpoint does, into the decoder's own values.
 func (d *Decoder) Decode(b []byte) (*Snapshot, *Delta, error) {
 	return decodeCheckpoint(b, d)
 }
@@ -518,8 +522,7 @@ func decodeCheckpoint(b []byte, dec *Decoder) (*Snapshot, *Delta, error) {
 		}
 		return snap, nil, nil
 	default:
-		s, err := DecodeSnapshot(b)
-		return s, nil, err
+		return nil, nil, errNoMagic
 	}
 }
 
@@ -654,8 +657,8 @@ type CheckpointInfo struct {
 }
 
 // PeekCheckpoint reads a checkpoint payload's header — subjob identity,
-// kind, and (for deltas) the chain predecessor. Binary payloads cost only
-// a few header bytes; legacy gob payloads fall back to a full decode.
+// kind, and (for deltas) the chain predecessor, reading only a few header
+// bytes.
 func PeekCheckpoint(b []byte) (CheckpointInfo, error) {
 	switch {
 	case hasMagic(b, snapMagic):
@@ -690,13 +693,6 @@ func PeekCheckpoint(b []byte) (CheckpointInfo, error) {
 		}
 		return CheckpointInfo{SubjobID: id, IsPartial: true}, nil
 	default:
-		snap, delta, err := DecodeCheckpoint(b)
-		if err != nil {
-			return CheckpointInfo{}, err
-		}
-		if delta != nil {
-			return CheckpointInfo{SubjobID: delta.SubjobID, IsDelta: true, PrevSeq: delta.PrevSeq}, nil
-		}
-		return CheckpointInfo{SubjobID: snap.SubjobID}, nil
+		return CheckpointInfo{}, errNoMagic
 	}
 }

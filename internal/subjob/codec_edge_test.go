@@ -2,27 +2,38 @@ package subjob
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 )
+
+// emptySnapshotGob reads testdata/empty-snapshot.gob: the snapshot
+// {SubjobID: "j/empty"} as the seed's encoding/gob codec wrote it,
+// recorded before that codec was deleted.
+func emptySnapshotGob(t *testing.T) []byte {
+	t.Helper()
+	b, err := os.ReadFile("testdata/empty-snapshot.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // TestCodecAutoDetectEdgeCases pins the codec's format sniffing on the
 // degenerate payloads where a length- or content-based heuristic would
 // misroute: empty and zero-PE checkpoints (whose binary encoding is
 // little more than the magic preamble), truncated preambles, and
 // single-byte payloads. Detection is a strict 4-byte prefix match, so
-// every case must either decode through the binary path or fail cleanly
-// — never panic, and never fall through to gob for a binary payload.
+// every case must either decode through the binary path or fail cleanly,
+// never panic. A gob-encoded snapshot has no magic and fails.
 func TestCodecAutoDetectEdgeCases(t *testing.T) {
 	emptySnap := &Snapshot{SubjobID: "j/empty"}
 	emptySnapBin, err := emptySnap.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	emptySnapGob, err := emptySnap.EncodeGob()
-	if err != nil {
-		t.Fatal(err)
-	}
+	emptySnapGob := emptySnapshotGob(t)
 	emptyDelta := &Delta{SubjobID: "j/empty", PrevSeq: 7}
 	emptyDeltaBin, err := emptyDelta.Encode()
 	if err != nil {
@@ -38,7 +49,7 @@ func TestCodecAutoDetectEdgeCases(t *testing.T) {
 		wantDelta bool
 	}{
 		{"empty snapshot binary", emptySnapBin, true, false},
-		{"empty snapshot gob", emptySnapGob, true, false},
+		{"empty snapshot gob", emptySnapGob, false, false},
 		{"empty delta binary", emptyDeltaBin, false, true},
 		{"nil payload", nil, false, false},
 		{"empty payload", []byte{}, false, false},
@@ -99,9 +110,7 @@ func TestCodecAutoDetectEdgeCases(t *testing.T) {
 
 // TestCodecEmptySnapshotBinaryRouting is the regression distilled: a
 // zero-PE snapshot's binary encoding is only a few bytes longer than the
-// preamble, and it must round-trip through the binary decoder rather
-// than being misdetected as legacy gob (which would reject it with an
-// opaque gob error).
+// preamble, and it must round-trip through the binary decoder.
 func TestCodecEmptySnapshotBinaryRouting(t *testing.T) {
 	s := &Snapshot{SubjobID: "j/z"}
 	enc, err := s.Encode()
@@ -129,10 +138,45 @@ func TestCodecEmptySnapshotBinaryRouting(t *testing.T) {
 		t.Fatal("empty snapshot round trip diverged")
 	}
 
-	// The same payload with its magic clipped must NOT silently decode
-	// as gob to a zero snapshot — it has to be an explicit error.
+	// The same payload with its magic clipped must not decode to a zero
+	// snapshot: it has to be an explicit error.
 	if _, err := DecodeSnapshot(enc[1:]); err == nil {
-		t.Fatal("clipped binary payload accepted via gob fallback")
+		t.Fatal("clipped binary payload accepted")
+	}
+}
+
+// TestDecodersRejectPayloadWithoutMagic: a non-empty payload that opens
+// with none of the codec's magics is rejected by every decoder with
+// errNoMagic, never a panic and never a zero value.
+func TestDecodersRejectPayloadWithoutMagic(t *testing.T) {
+	enc, err := (&Snapshot{SubjobID: "j/sj"}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"gob", emptySnapshotGob(t)},
+		{"clipped magic", enc[1:]},
+		{"near-magic", []byte("SHS3garbage")},
+		{"single zero byte", []byte{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if s, d, err := DecodeCheckpoint(tc.payload); !errors.Is(err, errNoMagic) || s != nil || d != nil {
+				t.Errorf("DecodeCheckpoint = (%v, %v, %v)", s, d, err)
+			}
+			var dec Decoder
+			if s, d, err := dec.Decode(tc.payload); !errors.Is(err, errNoMagic) || s != nil || d != nil {
+				t.Errorf("Decoder.Decode = (%v, %v, %v)", s, d, err)
+			}
+			if s, err := DecodeSnapshot(tc.payload); !errors.Is(err, errNoMagic) || s != nil {
+				t.Errorf("DecodeSnapshot = (%v, %v)", s, err)
+			}
+			if info, err := PeekCheckpoint(tc.payload); !errors.Is(err, errNoMagic) || info != (CheckpointInfo{}) {
+				t.Errorf("PeekCheckpoint = (%+v, %v)", info, err)
+			}
+		})
 	}
 }
 

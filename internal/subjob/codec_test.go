@@ -101,25 +101,6 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGobFallbackDecode(t *testing.T) {
-	rt, _, net := deltaRuntime(t, false)
-	feed(t, net, "m1", "j/sj", 1, 5)
-	waitProcessed(t, rt, 5)
-	snap := rt.Snapshot()
-
-	legacy, err := snap.EncodeGob()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(legacy)
-	if err != nil {
-		t.Fatalf("legacy gob checkpoint rejected: %v", err)
-	}
-	if !bytes.Equal(snapBytes(t, got), snapBytes(t, snap)) {
-		t.Fatal("gob fallback decoded different state")
-	}
-}
-
 func TestDecodeRejectsGarbageAndKindMixups(t *testing.T) {
 	if _, err := DecodeSnapshot([]byte("SHS2")); err == nil {
 		t.Fatal("truncated binary snapshot accepted")

@@ -1,8 +1,6 @@
 package subjob
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"streamha/internal/element"
@@ -93,23 +91,10 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return s.AppendTo(make([]byte, 0, s.EncodedSize())), nil
 }
 
-// EncodeGob serializes the snapshot with the seed's encoding/gob codec. It
-// is kept as the frozen baseline for the checkpoint benchmarks and as the
-// interop fallback exercised by DecodeSnapshot's format sniffing.
-func (s *Snapshot) EncodeGob() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("subjob: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSnapshot parses an encoded full snapshot. The binary format is
-// detected by its magic preamble; anything else is treated as the legacy
-// gob encoding. The preamble check is a prefix match, so an empty or
-// zero-PE snapshot — whose binary encoding is the bare preamble plus a
-// handful of zero counts — still routes to the binary decoder and never
-// falls through to gob.
+// DecodeSnapshot parses an encoded full snapshot, detected by its SHS2
+// magic. The check is a prefix match, so an empty or zero-PE snapshot —
+// whose encoding is the bare magic plus a handful of zero counts — still
+// decodes, and a payload with no known magic is rejected with errNoMagic.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if hasMagic(b, snapMagic) {
 		s := &Snapshot{}
@@ -124,12 +109,5 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if hasMagic(b, partialMagic) {
 		return nil, fmt.Errorf("subjob: partial checkpoint where full snapshot expected")
 	}
-	if len(b) == 0 {
-		return nil, fmt.Errorf("subjob: empty checkpoint payload")
-	}
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("subjob: decode snapshot: %w", err)
-	}
-	return &s, nil
+	return nil, errNoMagic
 }

@@ -32,9 +32,6 @@ func CkptStream(sj string) string { return "ckpt|" + sj }
 // storage back to subjob sj's checkpoint manager.
 func CkptAckStream(sj string) string { return "ckptack|" + sj }
 
-// CtlStream names the control stream of subjob sj's agent on one machine.
-func CtlStream(sj string) string { return "ctl|" + sj }
-
 // ReadStateStream names the stream on which a standby serves read-state
 // requests for subjob sj.
 func ReadStateStream(sj string) string { return "readstate|" + sj }

@@ -3,42 +3,15 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"streamha/internal/element"
 )
 
-// Codec selects the encoding used on outbound TCP connections. Inbound
-// connections auto-detect the peer's codec from a 4-byte preamble, so
-// segments configured with different codecs interoperate.
-type Codec int
-
-const (
-	// CodecBinary is the length-prefixed binary codec: a hand-rolled,
-	// reflection-free frame encoding with varint field lengths, written in
-	// batches with one buffer flush per drained queue. The default.
-	CodecBinary Codec = iota
-	// CodecGob is the seed's reflection-driven gob framing, kept behind
-	// this flag as the frozen benchmark baseline and for cross-codec
-	// compatibility testing.
-	CodecGob
-)
-
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	}
-	return fmt.Sprintf("codec(%d)", int(c))
-}
-
-// Connection preambles. The first four bytes of every outbound connection
-// name the codec the sender will speak; serve dispatches on them.
+// magicBinary is the preamble: the first four bytes of every outbound
+// connection, before its first frame. serve drops a connection that opens
+// with anything else.
 const (
 	magicBinary = "SHB1"
-	magicGob    = "SHG1"
 	magicLen    = 4
 )
 

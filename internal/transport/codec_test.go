@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -25,7 +27,7 @@ func codecTestMessages() []Message {
 		{Kind: KindPing, Stream: "det/1", Seq: 3},
 		{Kind: KindPong, Stream: "det/1", Seq: 3},
 		{Kind: KindCheckpoint, Stream: "job/sj0", State: []byte{0, 1, 2, 255, 128}, ElementCount: 7},
-		{Kind: KindReadStateReq, Stream: "job/sj1"},
+		{Kind: KindReadStateResp, Stream: "job/sj1"},
 		{Kind: KindReadStateResp, Stream: "job/sj1", State: bytes.Repeat([]byte{0xAB}, 1000), ElementCount: 250},
 		{Kind: KindControl, Stream: "job/sj0", Command: "switchover", Seq: 12},
 	}
@@ -189,10 +191,10 @@ func TestDecodeNameTableCapped(t *testing.T) {
 	}
 }
 
-// startCodecPair builds a listening receiver segment plus a sender segment
-// configured with codec, registers a collector on the receiver, and returns
-// (sender endpoint, receiver segment, collector, cleanup).
-func startCodecPair(t *testing.T, codec Codec) (Endpoint, *TCP, *collector, func()) {
+// startPair builds a listening receiver segment plus a sender segment,
+// registers a collector on the receiver, and returns (sender endpoint,
+// receiver segment, collector, cleanup).
+func startPair(t *testing.T) (Endpoint, *TCP, *collector, func()) {
 	t.Helper()
 	recv, err := NewTCP(TCPConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -205,7 +207,6 @@ func startCodecPair(t *testing.T, codec Codec) (Endpoint, *TCP, *collector, func
 	}
 	send, err := NewTCP(TCPConfig{
 		Peers: map[NodeID]string{"dst": recv.Addr()},
-		Codec: codec,
 	})
 	if err != nil {
 		recv.Close()
@@ -223,29 +224,62 @@ func startCodecPair(t *testing.T, codec Codec) (Endpoint, *TCP, *collector, func
 	}
 }
 
-// TestCrossCodecCompatibility checks that a gob-flagged sender and a
-// binary-default receiver (and vice versa) interoperate: serve dispatches
-// on the connection preamble, not on local configuration.
+// TestCrossCodecCompatibility checks how a receiver treats each codec's
+// senders. A binary sender's frames are delivered. A connection that
+// opens with the retired gob preamble SHG1 is closed before any frame is
+// decoded, even a well-formed SHB1 one, and a binary sender that
+// connects after it still delivers.
 func TestCrossCodecCompatibility(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		t.Run("send-"+codec.String(), func(t *testing.T) {
-			src, _, c, cleanup := startCodecPair(t, codec)
-			defer cleanup()
-			want := []element.Element{{ID: 7, Origin: 1, Seq: 1, Payload: 64}}
-			if err := src.Send("dst", Message{Kind: KindData, Stream: "s", Elements: want}); err != nil {
-				t.Fatal(err)
-			}
-			if err := src.Send("dst", Message{Kind: KindControl, Stream: "ctl", Command: "activate", Seq: 2}); err != nil {
-				t.Fatal(err)
-			}
-			got := c.waitFor(t, 2)
-			if got[0].Elements[0] != want[0] || got[0].Stream != "s" {
-				t.Fatalf("data frame %+v", got[0])
-			}
-			if got[1].Command != "activate" || got[1].Seq != 2 {
-				t.Fatalf("control frame %+v", got[1])
-			}
-		})
+	t.Run("send-binary", func(t *testing.T) {
+		src, _, c, cleanup := startPair(t)
+		defer cleanup()
+		deliversDataAndControl(t, src, c)
+	})
+	t.Run("send-gob", func(t *testing.T) {
+		src, recv, c, cleanup := startPair(t)
+		defer cleanup()
+		conn, err := net.Dial("tcp", recv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		frame := AppendFrame([]byte("SHG1"), "raw", "dst", &Message{Kind: KindControl, Stream: "ctl", Command: "raw"})
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Fatal("receiver wrote to a gob connection")
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatal("receiver kept a gob connection open")
+		}
+		deliversDataAndControl(t, src, c)
+		if st := recv.Stats().Wire; st.FramesRecv != 2 {
+			t.Fatalf("receiver decoded %d frames, want 2", st.FramesRecv)
+		}
+	})
+}
+
+// deliversDataAndControl sends a data and a control message from src and
+// checks that c receives exactly those two.
+func deliversDataAndControl(t *testing.T, src Endpoint, c *collector) {
+	t.Helper()
+	want := []element.Element{{ID: 7, Origin: 1, Seq: 1, Payload: 64}}
+	if err := src.Send("dst", Message{Kind: KindData, Stream: "s", Elements: want}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Send("dst", Message{Kind: KindControl, Stream: "ctl", Command: "activate", Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	got := c.waitFor(t, 2)
+	if len(got) != 2 {
+		t.Fatalf("delivered %d messages, want 2: %+v", len(got), got)
+	}
+	if got[0].Elements[0] != want[0] || got[0].Stream != "s" {
+		t.Fatalf("data frame %+v", got[0])
+	}
+	if got[1].Command != "activate" || got[1].Seq != 2 {
+		t.Fatalf("control frame %+v", got[1])
 	}
 }
 
@@ -302,7 +336,7 @@ func TestStrictRoutes(t *testing.T) {
 }
 
 func TestWireCounters(t *testing.T) {
-	src, recv, c, cleanup := startCodecPair(t, CodecBinary)
+	src, recv, c, cleanup := startPair(t)
 	defer cleanup()
 	const frames = 20
 	for i := 1; i <= frames; i++ {
@@ -420,7 +454,7 @@ func TestUnreachablePeerCountsDrops(t *testing.T) {
 // still queued for an unreachable peer.
 func TestTCPConnCloseWaitsForWriter(t *testing.T) {
 	var stats counters
-	c := newTCPConn("127.0.0.1:1", CodecBinary, &stats)
+	c := newTCPConn("127.0.0.1:1", &stats)
 	for i := 0; i < 50; i++ {
 		c.write(tcpFrame{From: "a", To: "b", Msg: Message{Kind: KindPing, Seq: uint64(i)}})
 	}

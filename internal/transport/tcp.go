@@ -3,13 +3,11 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,11 +20,6 @@ type TCPConfig struct {
 	// Peers maps remote node IDs to the listen addresses of the processes
 	// hosting them. Nodes registered locally do not need entries.
 	Peers map[NodeID]string
-	// Codec selects the wire encoding for outbound connections. The zero
-	// value is CodecBinary; CodecGob keeps the seed's gob framing as a
-	// frozen baseline. Inbound connections auto-detect the peer's codec
-	// from its preamble, so mixed-codec deployments interoperate.
-	Codec Codec
 	// StrictRoutes makes Send return ErrNoRoute when the destination is
 	// neither hosted locally nor listed in Peers, instead of dropping
 	// silently. Messages to known-but-down or unreachable nodes still drop
@@ -66,7 +59,7 @@ type TCP struct {
 
 var _ Network = (*TCP)(nil)
 
-// tcpFrame is the wire unit (and the gob codec's wire type).
+// tcpFrame is the wire unit.
 type tcpFrame struct {
 	From NodeID
 	To   NodeID
@@ -191,8 +184,9 @@ func (t *TCP) accept() {
 	}
 }
 
-// serve reads the peer's codec preamble, then decodes inbound frames and
-// dispatches them to local endpoints.
+// serve reads the peer's preamble, then decodes inbound frames and
+// dispatches them to local endpoints. A connection that does not open
+// with SHB1 speaks some other protocol and is dropped.
 func (t *TCP) serve(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -202,28 +196,13 @@ func (t *TCP) serve(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	magic, err := br.Peek(magicLen)
-	if err != nil {
+	var magic [magicLen]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != magicBinary {
 		return
 	}
-	if _, err := br.Discard(magicLen); err != nil {
-		return
-	}
-	switch string(magic) {
-	case magicBinary:
-		t.serveBinary(br)
-	case magicGob:
-		t.serveGob(br)
-	default:
-		// Unknown peer protocol: drop the connection.
-	}
-}
-
-// serveBinary is the read loop for the length-prefixed binary codec. The
-// payload buffer is reused across frames; decodeFramePayload copies out
-// everything it keeps, and names interns the node and stream names, which
-// repeat on every frame of a connection.
-func (t *TCP) serveBinary(br *bufio.Reader) {
+	// The payload buffer is reused across frames; decodeFramePayload
+	// copies out everything it keeps, and names interns the node and
+	// stream names, which repeat on every frame of a connection.
 	var payload []byte
 	names := make(map[string]string)
 	for {
@@ -245,19 +224,6 @@ func (t *TCP) serveBinary(br *bufio.Reader) {
 		t.stats.wireFramesRecv.Add(1)
 		t.stats.wireBytesRecv.Add(int64(uvarintLen(size)) + int64(size))
 		t.deliverLocal(from, to, msg)
-	}
-}
-
-// serveGob is the read loop for the gob baseline codec.
-func (t *TCP) serveGob(br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	for {
-		var f tcpFrame
-		if err := dec.Decode(&f); err != nil {
-			return
-		}
-		t.stats.wireFramesRecv.Add(1)
-		t.deliverLocal(f.From, f.To, f.Msg)
 	}
 }
 
@@ -318,7 +284,7 @@ func (t *TCP) dial(addr string) *tcpConn {
 	}
 	c := t.outbound[addr]
 	if c == nil {
-		c = newTCPConn(addr, t.cfg.Codec, &t.stats)
+		c = newTCPConn(addr, &t.stats)
 		t.outbound[addr] = c
 	}
 	return c
@@ -331,7 +297,6 @@ func (t *TCP) dial(addr string) *tcpConn {
 // and hands the buffer to the socket in as few writes as possible.
 type tcpConn struct {
 	addr  string
-	codec Codec
 	stats *counters
 
 	mu     sync.Mutex
@@ -343,7 +308,6 @@ type tcpConn struct {
 
 	// Writer-goroutine state; touched only by writer.
 	sock net.Conn
-	enc  *gob.Encoder
 	wire []byte
 }
 
@@ -359,8 +323,8 @@ const (
 	wireFlushChunk = 64 << 10
 )
 
-func newTCPConn(addr string, codec Codec, stats *counters) *tcpConn {
-	c := &tcpConn{addr: addr, codec: codec, stats: stats, done: make(chan struct{})}
+func newTCPConn(addr string, stats *counters) *tcpConn {
+	c := &tcpConn{addr: addr, stats: stats, done: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
 	go c.writer()
 	return c
@@ -443,15 +407,6 @@ func (c *tcpConn) writeBatch(batch []tcpFrame) int {
 	if c.sock == nil && !c.dialOnce() {
 		return 0
 	}
-	if c.codec == CodecGob {
-		for i := range batch {
-			if err := c.enc.Encode(&batch[i]); err != nil {
-				c.resetConn()
-				return i
-			}
-		}
-		return len(batch)
-	}
 	wire := c.wire[:0]
 	sent := 0    // frames confirmed written
 	pending := 0 // frames encoded into wire, awaiting flush
@@ -496,7 +451,7 @@ func (c *tcpConn) flush(buf []byte) bool {
 	return true
 }
 
-// dialOnce attempts one dial, sends the codec preamble, and installs the
+// dialOnce attempts one dial, sends the SHB1 preamble, and installs the
 // socket. It reports whether the connection is usable.
 func (c *tcpConn) dialOnce() bool {
 	d, err := net.DialTimeout("tcp", c.addr, tcpDialTimeout)
@@ -511,20 +466,13 @@ func (c *tcpConn) dialOnce() bool {
 	}
 	c.conn = d
 	c.mu.Unlock()
-	magic := magicBinary
-	if c.codec == CodecGob {
-		magic = magicGob
-	}
-	if _, err := d.Write([]byte(magic)); err != nil {
+	if _, err := d.Write([]byte(magicBinary)); err != nil {
 		c.sock = d
 		c.resetConn()
 		return false
 	}
 	c.stats.wireBytesSent.Add(magicLen)
 	c.sock = d
-	if c.codec == CodecGob {
-		c.enc = gob.NewEncoder(&countingWriter{w: d, n: &c.stats.wireBytesSent})
-	}
 	return true
 }
 
@@ -534,23 +482,10 @@ func (c *tcpConn) resetConn() {
 		return
 	}
 	_ = c.sock.Close()
-	c.sock, c.enc = nil, nil
+	c.sock = nil
 	c.mu.Lock()
 	c.conn = nil
 	c.mu.Unlock()
-}
-
-// countingWriter counts bytes written through it into an atomic, so the
-// gob path's byte counter matches the binary path's.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
-	return n, err
 }
 
 // tcpEndpoint is a locally hosted node on a TCP segment. Its inbox is the

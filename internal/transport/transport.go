@@ -26,17 +26,18 @@ type Kind int
 // data batches and cumulative acks implement the stream with sweeping
 // checkpointing; pings and pongs implement heartbeat failure detection;
 // checkpoint and read-state messages implement passive/hybrid standby; and
-// control messages carry deployment and switchover commands.
+// control messages carry deployment and switchover commands. The numbers
+// are the kind byte on the wire, so they never change; 6 was a read-state
+// request that nothing sent.
 const (
-	KindInvalid Kind = iota
-	KindData
-	KindAck
-	KindPing
-	KindPong
-	KindCheckpoint
-	KindReadStateReq
-	KindReadStateResp
-	KindControl
+	KindInvalid       Kind = 0
+	KindData          Kind = 1
+	KindAck           Kind = 2
+	KindPing          Kind = 3
+	KindPong          Kind = 4
+	KindCheckpoint    Kind = 5
+	KindReadStateResp Kind = 7
+	KindControl       Kind = 8
 )
 
 var kindNames = map[Kind]string{
@@ -46,7 +47,6 @@ var kindNames = map[Kind]string{
 	KindPing:          "ping",
 	KindPong:          "pong",
 	KindCheckpoint:    "checkpoint",
-	KindReadStateReq:  "read-state-req",
 	KindReadStateResp: "read-state-resp",
 	KindControl:       "control",
 }
@@ -66,7 +66,7 @@ func (k Kind) String() string {
 //   - KindPing/KindPong: Stream (detector session) and Seq (ping number).
 //   - KindCheckpoint: Stream (subjob ID), State (encoded snapshot) and
 //     ElementCount (snapshot size in element-equivalents, for accounting).
-//   - KindReadStateReq/Resp: Stream (subjob ID), State, ElementCount.
+//   - KindReadStateResp: Stream (subjob ID), State, ElementCount.
 //   - KindControl: Stream (target subjob ID), Command and Seq.
 //
 // Messages are fanned out zero-copy: the same Elements backing array may be
