@@ -3,6 +3,9 @@ package checkpoint
 import (
 	"testing"
 	"time"
+
+	"streamha/internal/subjob"
+	"streamha/internal/transport"
 )
 
 // TestPredecessorStopLeavesSuccessorWired: a re-arm starts the successor
@@ -45,4 +48,43 @@ func TestPredecessorStopLeavesSuccessorWired(t *testing.T) {
 			waitUntil(t, "a trim has triggered the successor", func() bool { return b.Stats().Taken >= 2 })
 		})
 	}
+}
+
+// TestSuccessorContinuesSequence: a successor manager on the same runtime
+// and store node continues its predecessor's sequence numbers, so a
+// confirmation the predecessor's store sends late names none of the
+// successor's checkpoints and releases nothing of it — neither upstream
+// positions nor a payload.
+func TestSuccessorContinuesSequence(t *testing.T) {
+	r := newRig(t, InMemory)
+	r.store.Close() // the test confirms checkpoints itself
+	cfg := Config{Runtime: r.rt, Clock: r.clk, Interval: time.Hour, StoreNode: r.secM.ID()}
+	a := NewSweeping(cfg)
+	a.Start()
+	r.feed(t, 1, 5)
+	a.CheckpointNow() // seq 1
+	a.CheckpointNow() // seq 2
+	a.Stop()
+
+	b := NewSweeping(cfg)
+	b.Start()
+	defer b.Stop()
+	r.feed(t, 6, 10)
+	b.CheckpointNow()
+	confirm := func(seq uint64) {
+		r.secM.Send(r.priM.ID(), transport.Message{
+			Kind:    transport.KindControl,
+			Stream:  subjob.CkptAckStream("j/sj"),
+			Command: "ckpt-stored",
+			Seq:     seq,
+		})
+	}
+	confirm(1) // the predecessor's, late
+	select {
+	case seq := <-r.acks:
+		t.Fatalf("upstream acknowledged %d on the predecessor's confirmation", seq)
+	case <-time.After(20 * time.Millisecond):
+	}
+	confirm(3) // the successor's
+	r.expectAck(t, 10)
 }

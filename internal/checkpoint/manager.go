@@ -78,7 +78,8 @@ type Config struct {
 	// trims stop its next checkpoint comes within 2 × Interval.
 	Interval time.Duration
 	// StoreNode is the machine holding the secondary state (a Store or a
-	// hybrid standby runtime).
+	// hybrid standby runtime). Store acknowledgments from any other node
+	// are ignored.
 	StoreNode transport.NodeID
 	// Costs models checkpoint CPU cost.
 	Costs Costs
@@ -99,7 +100,9 @@ type Config struct {
 	// restored catalog sequence N passes N here so new checkpoints continue
 	// the chain at N+1 instead of colliding with cataloged history. The
 	// first checkpoint after a restart is automatically full (no delta
-	// baseline survives the process), so the chain re-roots cleanly.
+	// baseline survives the process), so the chain re-roots cleanly. A
+	// manager also continues past every number an earlier manager on the
+	// same Runtime assigned (subjob.Runtime.NextCheckpointSeq).
 	SeqBase uint64
 	// Partial switches the manager to bounded-error checkpointing (the
 	// approx standby policy): after an initial full snapshot every sweep
@@ -371,7 +374,8 @@ func (m *Core) capture(target int, by cause) time.Duration {
 	paused := m.cfg.Clock.Since(start)
 
 	m.mu.Lock()
-	m.seq++
+	prev := m.seq
+	m.seq = rt.NextCheckpointSeq(prev)
 	j.seq = m.seq
 	switch {
 	case j.part != nil:
@@ -380,7 +384,7 @@ func (m *Core) capture(target int, by cause) time.Duration {
 		j.units = j.part.ElementUnits()
 		m.lastOutNext = j.part.OutNext
 	case j.delta != nil:
-		j.delta.PrevSeq = j.seq - 1
+		j.delta.PrevSeq = prev
 		m.sinceFull++
 		j.units = j.delta.ElementUnits()
 		if j.delta.HasOutput { // else one PE's share without the output queue
@@ -406,8 +410,15 @@ func (m *Core) capture(target int, by cause) time.Duration {
 }
 
 // onStoreAck releases the upstream acknowledgment for a stored checkpoint:
-// the data it covers is now recoverable, so upstream may trim it.
-func (m *Core) onStoreAck(_ transport.NodeID, msg transport.Message) {
+// the data it covers is now recoverable, so upstream may trim it. It also
+// hands the payloads up to that checkpoint back to the shipper. Only the
+// manager's own store is heard: an acknowledgment from any other node
+// (a predecessor's store winding down, a stray) releases nothing.
+func (m *Core) onStoreAck(from transport.NodeID, msg transport.Message) {
+	if from != m.cfg.StoreNode {
+		return
+	}
+	m.ship.release(msg.Seq)
 	m.mu.Lock()
 	positions, ok := m.pending[msg.Seq]
 	if ok {

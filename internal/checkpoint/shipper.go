@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -26,13 +27,17 @@ type shipJob struct {
 
 // shipper is the background encode+ship stage shared by the checkpoint
 // variants: the pause window only captures state, and the shipper charges
-// the modeled checkpoint CPU cost, encodes with the binary snapshot codec
-// into a fresh exact-size buffer, and sends that buffer to the store as the
-// message payload — all while the PEs are back processing. The payload is
-// the checkpoint's one allocation and is immutable once sent: the Mem
-// transport passes it by reference and every receiver decodes by aliasing
-// it. Jobs are shipped strictly in capture order, which the store's
-// delta-chain folding relies on.
+// the modeled checkpoint CPU cost, encodes with the binary snapshot codec,
+// and sends the encoded buffer to the store as the message payload — all
+// while the PEs are back processing. Jobs are shipped strictly in capture
+// order, which the store's delta-chain folding relies on.
+//
+// The shipper owns every payload it sends until the store acknowledges it
+// (DESIGN §11, rule 1): nobody writes to a payload in flight, and the
+// store's acknowledgment of seq N hands the payloads of N and every older
+// checkpoint back (release), because delivery is FIFO and the store folds
+// one checkpoint at a time, so none of them is still read. The next encode
+// fills a handed-back buffer that is big enough (take).
 type shipper struct {
 	cfg    Config
 	stream string // subjob.CkptStream of the runtime's subjob
@@ -57,6 +62,22 @@ type shipper struct {
 	// snapshot, rebasing is cheaper than letting the chain grow.
 	lastFullBytes  int64
 	deltaSinceFull int64
+
+	// sent holds the payloads shipped and not yet acknowledged, in
+	// sequence order; free holds the acknowledged ones waiting for an
+	// encode. Both are bounded (see keep): a payload the store never
+	// acknowledges (a dropped delta, a store that died) is forgotten once
+	// keep newer ones are in flight, and a spare beyond keep is left to
+	// the garbage collector.
+	sent []sentPayload
+	free [][]byte
+	keep int
+}
+
+// sentPayload is one shipped checkpoint's payload.
+type sentPayload struct {
+	seq uint64
+	buf []byte
 }
 
 func newShipper(cfg Config) *shipper {
@@ -70,6 +91,10 @@ func newShipper(cfg Config) *shipper {
 		jobs:   make(chan shipJob, depth),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
+		// Up to depth captures wait for the shipper while one payload is
+		// encoded and one is with the store: as many buffers as that are
+		// ever needed at once when the store keeps up.
+		keep: depth + 2,
 	}
 }
 
@@ -124,16 +149,24 @@ func (sh *shipper) process(j shipJob) {
 	var state []byte
 	switch {
 	case j.snap != nil:
-		state = j.snap.AppendTo(make([]byte, 0, j.snap.EncodedSize()))
+		state = j.snap.AppendTo(sh.take(j.snap.EncodedSize()))
 		// The encoded payload holds a copy of every PE state, so the
 		// captured buffers are dead: the next capture may fill them.
 		rt.ReleaseSnapshot(j.snap)
 	case j.part != nil:
-		state = j.part.AppendTo(make([]byte, 0, j.part.EncodedSize()))
+		state = j.part.AppendTo(sh.take(j.part.EncodedSize()))
 	default:
-		state = j.delta.AppendTo(make([]byte, 0, j.delta.EncodedSize()))
+		state = j.delta.AppendTo(sh.take(j.delta.EncodedSize()))
 	}
 	encodeDur := clk.Since(t0)
+	// Recorded before the send: the acknowledgment may come back before
+	// Send returns.
+	sh.mu.Lock()
+	if len(sh.sent) == sh.keep {
+		sh.sent = append(sh.sent[:0], sh.sent[1:]...)
+	}
+	sh.sent = append(sh.sent, sentPayload{seq: j.seq, buf: state})
+	sh.mu.Unlock()
 
 	t1 := clk.Now()
 	rt.Machine().Send(sh.cfg.StoreNode, transport.Message{
@@ -164,6 +197,52 @@ func (sh *shipper) process(j shipJob) {
 	sh.encodeTotal += encodeDur
 	sh.shipTotal += shipDur
 	sh.mu.Unlock()
+}
+
+// take returns an empty buffer with room for size bytes: the smallest
+// acknowledged payload that is big enough, or a fresh one with an eighth
+// to spare, so that the next checkpoint of about the same size fits it.
+func (sh *shipper) take(size int) []byte {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	best := -1
+	for i, b := range sh.free {
+		if cap(b) >= size && (best < 0 || cap(b) < cap(sh.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]byte, 0, size+size/8)
+	}
+	b := sh.free[best]
+	last := len(sh.free) - 1
+	sh.free[best], sh.free[last] = sh.free[last], nil
+	sh.free = sh.free[:last]
+	return b[:0]
+}
+
+// release hands back the payloads of checkpoint seq and every older one:
+// the store has acknowledged seq, so it reads none of them any more. When
+// more spares are kept than keep, the smallest go.
+func (sh *shipper) release(seq uint64) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	n := 0
+	for n < len(sh.sent) && sh.sent[n].seq <= seq {
+		sh.free = append(sh.free, sh.sent[n].buf)
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	rest := copy(sh.sent, sh.sent[n:])
+	clear(sh.sent[rest:])
+	sh.sent = sh.sent[:rest]
+	if len(sh.free) > sh.keep {
+		slices.SortFunc(sh.free, func(a, b []byte) int { return cap(b) - cap(a) })
+		clear(sh.free[sh.keep:])
+		sh.free = sh.free[:sh.keep]
+	}
 }
 
 // rebaseDue reports whether the adaptive rebase budget is exhausted: the

@@ -47,7 +47,9 @@ const (
 // Target is the state a Store folds a subjob's checkpoints into: an Image
 // a recovery copy is deployed from, or a pre-deployed suspended standby
 // refreshed in memory. The Store calls it from one goroutine, one
-// checkpoint at a time.
+// checkpoint at a time. A target reads nothing of a payload once it has
+// folded it: after the Store acknowledges a checkpoint, its sender reuses
+// the payload for a later one (DESIGN §11, rule 1).
 type Target interface {
 	// Decode parses a full or delta payload. The values may belong to the
 	// target and be valid only until its next Decode.
@@ -401,18 +403,20 @@ type Image struct {
 	latest *subjob.Snapshot
 }
 
-// Decode decodes into fresh values: the image keeps a full snapshot, which
-// aliases its payload, and folds deltas into it in place (DESIGN §11,
-// rule 3).
+// Decode decodes into fresh values: the image keeps a full snapshot and
+// folds deltas into it in place (DESIGN §11, rule 3).
 func (im *Image) Decode(payload []byte) (*subjob.Snapshot, *subjob.Delta, error) {
 	return subjob.DecodeCheckpoint(payload)
 }
 
-// Apply implements Target.
+// Apply implements Target. A full's PE states are copied into the buffers
+// the image held, so the image keeps nothing of the payload, which goes
+// back to its sender once the store acknowledges it.
 func (im *Image) Apply(snap *subjob.Snapshot, d *subjob.Delta) Outcome {
 	im.mu.Lock()
 	defer im.mu.Unlock()
 	if d == nil {
+		snap.OwnStates(im.latest)
 		im.latest = snap
 		return Folded
 	}

@@ -338,7 +338,9 @@ func NewLifecycle(cfg LifecycleConfig) *Lifecycle {
 }
 
 // Start arms the policy (standby copies, checkpoint apparatus, detector)
-// and launches the event loop. Idempotent.
+// and launches the event loop. Idempotent. When it returns an error the
+// lifecycle has not started and Stop does nothing: the caller still owns
+// the primary copy and must stop it (or retry Start).
 func (lc *Lifecycle) Start() error {
 	lc.mu.Lock()
 	if lc.started {

@@ -210,6 +210,9 @@ func newLifecycleRig(t *testing.T, pol StandbyPolicy) *Lifecycle {
 		t.Fatal(err)
 	}
 	pri.Start()
+	// Registered before lc.Stop, so it runs after it: a lifecycle whose
+	// Start failed leaves the primary to its caller.
+	t.Cleanup(pri.Stop)
 	lc := NewLifecycle(LifecycleConfig{
 		Spec:    spec,
 		Clock:   clk,

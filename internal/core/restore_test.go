@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,5 +168,33 @@ func TestLifecycleRestoreFromCatalogErrors(t *testing.T) {
 	lc2.cfg.Catalog = checkpoint.NewCatalog(checkpoint.NewMemBackend(), checkpoint.Retention{})
 	if err := lc2.Start(); err == nil {
 		t.Fatal("Start succeeded restoring from an empty catalog")
+	}
+}
+
+// peLoops counts the PE loop goroutines, pe.(*PE).run. They are matched
+// by their creator, because one not yet scheduled shows no run frame.
+func peLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by streamha/internal/pe.(*PE).Start")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestFailedStartLeavesNoPELoop: after a failed Start the caller owns the
+// primary, and the rig stops it at cleanup. Once the two failed starts of
+// TestLifecycleRestoreFromCatalogErrors are cleaned up, none of their
+// primaries' PE loops may be left running.
+func TestFailedStartLeavesNoPELoop(t *testing.T) {
+	before := peLoops()
+	t.Run("restore errors", TestLifecycleRestoreFromCatalogErrors)
+	deadline := time.Now().Add(2 * time.Second)
+	for peLoops() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d PE loops still running after two failed starts were cleaned up", peLoops()-before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

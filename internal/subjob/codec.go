@@ -1,12 +1,12 @@
 // Binary snapshot codec: the checkpoint-path counterpart of the transport
 // package's wire codec. Snapshots and deltas are serialized in a single
-// append pass into a buffer pre-sized by an exact length computation, so a
-// checkpoint's encoded payload is its one allocation. Decoding aliases:
-// every decoded PE state or patch is a capacity-clipped sub-slice of the
-// payload, which must therefore stay unmodified for as long as the decoded
-// value is in use (Snapshot.ApplyDelta copies a PE state before it first
-// patches it in place). A Decoder also reuses the values it decodes into,
-// each valid until its next Decode.
+// append pass into a buffer with room for an exact length computation, so
+// encoding allocates at most the payload. Decoding aliases: every decoded
+// PE state or patch is a capacity-clipped sub-slice of the payload, which
+// must therefore stay unmodified for as long as the decoded value is in
+// use (Snapshot.OwnStates and Snapshot.ApplyDelta copy what an image
+// keeps). A Decoder also reuses the values it decodes into, each valid
+// until its next Decode.
 //
 // Layout (all integers LEB128 uvarints unless noted):
 //

@@ -84,11 +84,12 @@ func (s *Snapshot) AsDelta() *Delta {
 }
 
 // ApplyDelta folds a delta into a full snapshot image: patched PE states,
-// replaced pipes/input, and an advanced output window. The snapshot keeps
-// the delta's slices, which for a decoded delta alias its payload, and
-// never writes through a PE state it did not allocate: the first patch of
-// a PE state copies it, later patches of that copy are in place, and a
-// full replacement from the delta is again foreign memory. Chain validity
+// replaced pipes/input, and an advanced output window. It never writes
+// through a PE state the snapshot does not own, and keeps none of the
+// delta's PE bytes, which for a decoded delta alias its payload: the first
+// patch of a PE state copies it, later patches of that copy are in place,
+// and a full replacement from the delta is copied into the PE's owned
+// buffer. The pipes, input and consumed map are the delta's. Chain validity
 // (PrevSeq) is the caller's responsibility; shape mismatches and
 // non-contiguous output deltas fail without guaranteeing an unmodified
 // snapshot, so callers must discard the image on error.
@@ -108,8 +109,12 @@ func (s *Snapshot) ApplyDelta(d *Delta) error {
 	for i := range d.PEFull {
 		switch {
 		case d.PEFull[i] != nil:
-			s.PEStates[i] = d.PEFull[i]
-			s.owned[i] = false
+			dst := []byte{}
+			if s.owned[i] {
+				dst = s.PEStates[i][:0]
+			}
+			s.PEStates[i] = append(dst, d.PEFull[i]...)
+			s.owned[i] = true
 		case d.PEDeltas[i] != nil:
 			if !s.owned[i] {
 				s.PEStates[i] = append([]byte(nil), s.PEStates[i]...)

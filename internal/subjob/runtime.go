@@ -78,6 +78,9 @@ type Runtime struct {
 	started   bool
 	stopped   bool
 	senders   map[string]map[transport.NodeID]time.Time
+	// ckptSeq is the highest checkpoint sequence number assigned to a
+	// capture of this copy (see NextCheckpointSeq).
+	ckptSeq uint64
 
 	// spares[i] stacks the dead PE-state buffers handed back through
 	// ReleaseSnapshot for PE i, if its logic is a pe.SnapshotRecycler;
@@ -375,6 +378,18 @@ func (r *Runtime) ReleaseSnapshot(s *Snapshot) {
 		}
 		s.PEStates[i] = nil
 	}
+}
+
+// NextCheckpointSeq assigns the sequence number of a checkpoint of this
+// copy: one past both after and every number assigned before. Successive
+// checkpoint managers on one copy so continue one sequence, and a store's
+// acknowledgment that reaches a successor late names none of the
+// successor's checkpoints.
+func (r *Runtime) NextCheckpointSeq(after uint64) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ckptSeq = max(r.ckptSeq, after) + 1
+	return r.ckptSeq
 }
 
 // Restore overwrites the copy's state from a snapshot. The copy must be

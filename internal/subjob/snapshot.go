@@ -35,10 +35,32 @@ type Snapshot struct {
 	StateUnits int
 
 	// owned[i] records that PEStates[i] is private memory ApplyDelta may
-	// patch in place. A decoded snapshot's PE states alias the payload it
-	// was decoded from, which the store, the catalog and the sender still
-	// read, so nothing is owned until ApplyDelta has copied it.
+	// write in place. A decoded snapshot's PE states alias the payload it
+	// was decoded from, which belongs to its sender, so nothing is owned
+	// until OwnStates or ApplyDelta has copied it.
 	owned []bool
+}
+
+// OwnStates copies every PE state into memory the snapshot owns, so it no
+// longer aliases the payload it was decoded from. The copies reuse the
+// arrays prev owns where they have room; prev, an image s replaces, must
+// not be used afterwards.
+func (s *Snapshot) OwnStates(prev *Snapshot) {
+	if s.owned == nil {
+		s.owned = make([]bool, len(s.PEStates))
+	}
+	for i, st := range s.PEStates {
+		if s.owned[i] || st == nil {
+			continue
+		}
+		var dst []byte
+		if prev != nil && i < len(prev.owned) && prev.owned[i] {
+			dst = prev.PEStates[i][:0]
+			prev.PEStates[i], prev.owned[i] = nil, false
+		}
+		s.PEStates[i] = append(dst, st...)
+		s.owned[i] = true
+	}
 }
 
 // ElementUnits returns the snapshot's size in data-element equivalents,
