@@ -3,7 +3,8 @@
 // hash of each element's key, then grown to five instances live — full
 // snapshot plus chained delta checkpoints ship the donor's state while it
 // keeps serving, and the cutover is a sub-millisecond routing-table flip.
-// The program ends with an exactly-once audit over every emitted element.
+// The program ends with an exactly-once audit over every emitted element
+// and exits 1 if any element was lost or duplicated.
 package main
 
 import (
@@ -92,4 +93,7 @@ func main() {
 	}
 	fmt.Printf("audit: %d emitted, %d delivered, %d lost, %d duplicated\n",
 		emitted, pipe.Sink().Received(), lost, dup)
+	if lost > 0 || dup > 0 {
+		log.Fatal("exactly-once audit failed")
+	}
 }

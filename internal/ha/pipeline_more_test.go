@@ -38,21 +38,30 @@ func peLoops() int {
 	}
 }
 
+// leavesNoPELoop runs run and checks that, within 2 s, no PE loop it
+// started is left running.
+func leavesNoPELoop(t *testing.T, what string, run func()) {
+	t.Helper()
+	before := peLoops()
+	run()
+	deadline := time.Now().Add(2 * time.Second)
+	for peLoops() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s left %d PE loops running", what, peLoops()-before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // rejectsWithoutLeak checks that build fails and that, within 2 s, no PE
 // loop it started is left running.
 func rejectsWithoutLeak(t *testing.T, what string, build func() error) {
 	t.Helper()
-	before := peLoops()
-	if build() == nil {
-		t.Fatalf("%s accepted", what)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for peLoops() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s rejected with %d PE loops still running", what, peLoops()-before)
+	leavesNoPELoop(t, what+" rejected", func() {
+		if build() == nil {
+			t.Fatalf("%s accepted", what)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	})
 }
 
 func TestPipelineRejectsUnknownMachines(t *testing.T) {
@@ -105,6 +114,56 @@ func TestPipelineRejectsUnknownMachines(t *testing.T) {
 	cfg = base
 	cfg.Subjobs = nil
 	rejects("empty chain", cfg)
+
+	cfg = base
+	cfg.Subjobs = []ha.SubjobDef{
+		{ID: "x", PEs: cheapPEs(2), Mode: ha.ModeHybrid, Primary: "p0", Secondary: "s0"},
+		{ID: "x", PEs: cheapPEs(1), Primary: "p0"},
+	}
+	rejects("duplicate subjob ID", cfg)
+}
+
+// TestStopBeforeStartLeavesNoPELoop: a job built and stopped without ever
+// starting stops the copies the build started, though their lifecycles
+// never ran.
+func TestStopBeforeStartLeavesNoPELoop(t *testing.T) {
+	cl := cluster.New(cluster.Config{})
+	defer cl.Close()
+	for _, id := range []string{"src", "sink", "p0", "s0", "p1"} {
+		cl.MustAddMachine(id)
+	}
+	leavesNoPELoop(t, "chain stopped before start", func() {
+		p, err := ha.NewPipeline(ha.PipelineConfig{
+			Cluster:     cl,
+			JobID:       "j",
+			Source:      ha.SourceDef{Machine: "src", Rate: 100},
+			SinkMachine: "sink",
+			Subjobs: []ha.SubjobDef{
+				{PEs: cheapPEs(2), Mode: ha.ModeHybrid, Primary: "p0", Secondary: "s0"},
+				{PEs: cheapPEs(1), Primary: "p1"},
+			},
+		})
+		if err != nil {
+			t.Fatalf("NewPipeline: %v", err)
+		}
+		p.Stop()
+	})
+	leavesNoPELoop(t, "DAG stopped before start", func() {
+		topo, err := ha.NewTopology(ha.TopologyConfig{
+			Cluster: cl,
+			JobID:   "dag",
+			Sources: []ha.TopologySource{{Name: "feed", Machine: "src", Rate: 100}},
+			Subjobs: []ha.TopologySubjob{
+				{ID: "a", Inputs: []string{"feed"}, PEs: cheapPEs(2), Mode: ha.ModeHybrid, Primary: "p0", Secondary: "s0"},
+				{ID: "b", Inputs: []string{"feed"}, PEs: cheapPEs(1), Primary: "p1"},
+			},
+			Sinks: []ha.TopologySink{{Name: "out", Machine: "sink", Inputs: []string{"a", "b"}}},
+		})
+		if err != nil {
+			t.Fatalf("NewTopology: %v", err)
+		}
+		topo.Stop()
+	})
 }
 
 func TestActiveStandbyTrafficMultiplier(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"streamha/internal/cluster"
+	"streamha/internal/core"
 	"streamha/internal/machine"
 	"streamha/internal/sched"
 )
@@ -19,7 +20,11 @@ type schedPlacer struct {
 	s  *sched.Scheduler
 }
 
-func newSchedPlacer(cl *cluster.Cluster, s *sched.Scheduler) *schedPlacer {
+// newSchedPlacer returns the placer for s, or nil without a scheduler.
+func newSchedPlacer(cl *cluster.Cluster, s *sched.Scheduler) core.Placer {
+	if s == nil {
+		return nil
+	}
 	return &schedPlacer{cl: cl, s: s}
 }
 

@@ -87,35 +87,33 @@ type RescaleReport struct {
 // recorded on the donor's lifecycle as a migration event.
 func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) (*RescaleReport, error) {
 	opt = opt.withDefaults()
-	cl := p.cfg.Cluster
-	clk := cl.Clock()
+	j := p.j
+	clk := j.cl.Clock()
 	started := clk.Now()
 
-	if stage != len(p.cfg.Subjobs)-1 {
-		return nil, fmt.Errorf("ha: ScaleOut: only the last stage can grow live (got stage %d of %d)", stage, len(p.cfg.Subjobs))
+	stages := len(j.nodes) - 2
+	if stage != stages-1 {
+		return nil, fmt.Errorf("ha: ScaleOut: only the last stage can grow live (got stage %d of %d)", stage, stages)
 	}
-	def := p.cfg.Subjobs[stage]
-	if !def.partitioned() {
+	n := p.stage(stage)
+	if !n.def.partitioned() {
 		return nil, fmt.Errorf("ha: ScaleOut: stage %d is not keyed-parallel", stage)
 	}
-	if def.Mode == ModeActive {
+	if n.def.Mode == ModeActive {
 		return nil, fmt.Errorf("ha: ScaleOut: active-standby stages cannot rescale live")
 	}
-	split := p.linkSplit[stage]
-
-	p.mu.Lock()
-	n := len(p.stages[stage])
-	instances := append([]*Group(nil), p.stages[stage]...)
-	p.mu.Unlock()
-	if split.Instances() != n {
-		return nil, fmt.Errorf("ha: ScaleOut: routing table has %d instances, pipeline has %d", split.Instances(), n)
+	split := n.split
+	instances := j.groupsOf(n)
+	k := len(instances)
+	if split.Instances() != k {
+		return nil, fmt.Errorf("ha: ScaleOut: routing table has %d instances, pipeline has %d", split.Instances(), k)
 	}
 
 	// Donor: the instance owning the most partitions; it gives up half.
 	donorIdx, donorOwned := 0, split.OwnedBy(0)
-	for k := 1; k < n; k++ {
-		if owned := split.OwnedBy(k); len(owned) > len(donorOwned) {
-			donorIdx, donorOwned = k, owned
+	for i := 1; i < k; i++ {
+		if owned := split.OwnedBy(i); len(owned) > len(donorOwned) {
+			donorIdx, donorOwned = i, owned
 		}
 	}
 	if len(donorOwned) < 2 {
@@ -125,51 +123,29 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 	donorGroup := instances[donorIdx]
 	donor := donorGroup.HA.PrimaryRuntime()
 
-	spec := subjob.Spec{
-		JobID:     p.cfg.JobID,
-		ID:        p.specID(stage, n),
-		InStreams: append([]string(nil), p.linkStreams[stage]...),
-		Owners:    p.ownersFor(stage),
-		OutStream: p.outStream(stage, n),
-		PEs:       def.PEs,
-		BatchSize: def.BatchSize,
-	}
-	// Resolve every machine before deploying anything, so a bad name leaves
-	// the stage, its links and the routing table as they were.
-	pol := policyFor(def.Mode, p.cfg.Hybrid, p.cfg.PS, p.cfg.Approx, p.cfg.AckInterval)
-	priM, secM, spareM, err := resolvePlacement(cl, p.placer, placementReq{
-		Subjob:       spec.ID,
-		Primary:      pl.Primary,
-		Secondary:    pl.Secondary,
-		Spare:        pl.Spare,
-		NeedsStandby: pol.NeedsStandbyMachine(),
-	})
+	// Deploy the new instance as a full HA group of the stage's mode,
+	// suspended, with its partition guard installed before any element can
+	// reach it. Every machine resolves before anything deploys, so a bad name
+	// leaves the stage, its links and the routing table as they were. Its
+	// output stream is new: the sink learns it first, then the instance
+	// subscribes the sink actively (the output queue is empty, so the active
+	// subscription carries nothing yet).
+	g, err := j.buildGroup(n, k, pl, true)
 	if err != nil {
 		return nil, err
 	}
-
-	// Deploy the new instance suspended, with its partition guard installed
-	// before any element can reach it. Its output stream is new: the sink
-	// learns it first, then the instance subscribes the sink actively (the
-	// output queue is empty, so the active subscription carries nothing yet).
-	p.mu.Lock()
-	p.linkStreams[stage+1] = append(p.linkStreams[stage+1], spec.OutStream)
-	p.mu.Unlock()
-	rt, err := subjob.New(spec, priM, true)
-	if err != nil {
-		return nil, err
-	}
-	rt.SetInputPartition(split, n)
-	rt.Start()
-
-	p.sink.AddInput(spec.OutStream, spec.ID)
-	rt.Out().SubscribePart(p.sink.Node(), subjob.DataStream(p.sink.ID(), spec.OutStream), true, -1)
+	spec, rt, sink := g.Spec, g.PrimaryRuntime(), p.Sink()
+	j.mu.Lock()
+	n.streams = append(n.streams, spec.OutStream)
+	j.mu.Unlock()
+	sink.AddInput(spec.OutStream, spec.ID)
+	rt.Out().SubscribePart(sink.Node(), subjob.DataStream(sink.ID(), spec.OutStream), true, -1)
 
 	// Early inactive upstream connections, filtered to the new instance's
 	// (currently empty) partition set.
-	ups := p.producerOutputs(stage)
+	ups := j.upstreamOf(n)
 	for _, up := range ups {
-		up.SubscribePart(rt.Node(), subjob.DataStream(spec.ID, up.StreamID), false, n)
+		up.SubscribePart(rt.Node(), subjob.DataStream(spec.ID, up.StreamID), false, k)
 	}
 
 	// The migration owns the donor's delta baseline: an interleaved manager
@@ -179,7 +155,7 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 		defer cm.Resume()
 	}
 
-	rep := &RescaleReport{Stage: stage, NewInstance: n, Donor: donorIdx, Moved: moved}
+	rep := &RescaleReport{Stage: stage, NewInstance: k, Donor: donorIdx, Moved: moved}
 
 	// syncRound ships the paused donor's state, in full or what changed since
 	// the last round, addressed to the new instance, encoded, and folded
@@ -261,7 +237,7 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 			// Flip ownership while both sides are quiescent, then purge moved
 			// elements the donor had buffered: from here on the guard routes
 			// them to the new instance via upstream replay.
-			if cutErr = split.Move(moved, n); cutErr != nil {
+			if cutErr = split.Move(moved, k); cutErr != nil {
 				return
 			}
 			donor.In().Repartition()
@@ -284,13 +260,11 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 	cutEnd := clk.Now()
 	rep.CutoverPause = cutEnd.Sub(cutStart)
 
-	// Protect the new instance: a full HA group, same mode as its stage.
-	g := &Group{Def: def, Spec: spec, Mode: def.Mode, Stage: stage, Part: n}
-	p.protect(g, pol, rt, nil, secM, spareM)
-	p.mu.Lock()
-	p.stages[stage] = append(p.stages[stage], g)
-	reg := p.reg
-	p.mu.Unlock()
+	// Protect the new instance: its lifecycle joins the stage and starts.
+	j.mu.Lock()
+	n.groups = append(n.groups, g)
+	reg := j.reg
+	j.mu.Unlock()
 	if err := g.HA.Start(); err != nil {
 		return nil, fmt.Errorf("ha: ScaleOut: start lifecycle: %w", err)
 	}
