@@ -63,7 +63,7 @@ func main() {
 	// through the snapshot and delta rounds; the only pause is the final
 	// delta under a drained backlog.
 	fmt.Println("scaling out to 5 instances live ...")
-	rep, err := pipe.ScaleOut(0, streamha.RescalePlacement{Primary: "p4", Secondary: "s4"}, streamha.RescaleOptions{})
+	rep, err := pipe.ScaleOut(0, streamha.RescalePlacement{Primary: "p4", Secondary: "s4"})
 	if err != nil {
 		log.Fatalf("scale out: %v", err)
 	}

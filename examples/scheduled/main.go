@@ -6,12 +6,14 @@
 // primary's — each end in an automatic re-arm onto fresh capacity, where
 // static placement would have settled unprotected. The program prints
 // every placement and re-arm decision and ends with an exactly-once
-// audit.
+// audit and a check that stopping the job handed every scheduler slot
+// back; it exits 1 if either fails.
 package main
 
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"streamha"
@@ -79,7 +81,6 @@ func main() {
 	if err := pipe.Start(); err != nil {
 		log.Fatalf("start: %v", err)
 	}
-	defer pipe.Stop()
 
 	g := pipe.AllGroups()[0]
 	where := func() (pri, sby string) {
@@ -147,6 +148,22 @@ func main() {
 	}
 	fmt.Printf("audit: %d emitted, %d delivered, %d lost, %d duplicated\n",
 		emitted, pipe.Sink().Received(), lost, dup)
+	if lost > 0 || dup > 0 {
+		log.Fatal("exactly-once audit failed")
+	}
+
+	// Stopping the job releases every slot it holds in the placement log.
+	pipe.Stop()
+	var held []string
+	for slot, m := range sch.View().Assignments {
+		if strings.HasPrefix(slot, "scheduled/") {
+			held = append(held, slot+" on "+m)
+		}
+	}
+	fmt.Printf("slots held after stop: %d\n", len(held))
+	if len(held) > 0 {
+		log.Fatalf("scheduler slots left after Stop: %v", held)
+	}
 }
 
 // waitProtected polls until the group is Protected with live primary and

@@ -73,7 +73,7 @@ type Config struct {
 	// Clock is the time source.
 	Clock clock.Clock
 	// Interval is the checkpoint interval (the paper sweeps it from 100 ms
-	// to 900 ms; experiments here run at one-tenth scale). Sweeping ticks
+	// to 900 ms; experiments here run at one-fifth scale). Sweeping ticks
 	// only to seed a sweep in a period without any checkpoint, so after
 	// trims stop its next checkpoint comes within 2 × Interval.
 	Interval time.Duration
@@ -87,15 +87,6 @@ type Config struct {
 	// RebaseEvery-1 delta checkpoints are taken between full snapshots.
 	// 0 or 1 captures a full snapshot every time (the classic protocol).
 	RebaseEvery int
-	// RebaseAdaptive enables the byte-budget rebase policy: deltas keep
-	// shipping until their cumulative size since the last full snapshot
-	// exceeds that snapshot's size, then the manager rebases. It turns on
-	// incremental checkpointing by itself; RebaseEvery remains a manual
-	// cadence cap when both are set.
-	RebaseAdaptive bool
-	// MaxInFlight bounds captured-but-unshipped checkpoints; the capture
-	// path blocks once the bound is reached. Default 2.
-	MaxInFlight int
 	// SeqBase seeds the checkpoint sequence counter. A cold restart that
 	// restored catalog sequence N passes N here so new checkpoints continue
 	// the chain at N+1 instead of colliding with cataloged history. The
@@ -305,33 +296,13 @@ func (m *Core) run() {
 	}
 }
 
-// adaptivePendingLimit bounds the pending-ack window under the purely
-// adaptive rebase policy (no manual cadence to derive a bound from).
-const adaptivePendingLimit = 8
-
 // wantDeltaLocked decides whether the next checkpoint may be incremental:
-// rebasing is on (manual cadence or adaptive byte budget), a full baseline
-// exists, the manual cadence has not come due, and the store is keeping up
-// (a growing pending window means deltas are being dropped — likely an
-// unfoldable chain — so rebase with a full). The adaptive policy's byte
-// check lives on the shipper (see shipper.rebaseDue), which capture
-// consults after this.
+// rebasing is on, a full baseline exists, the cadence has not come due,
+// and the store is keeping up (a growing pending window means deltas are
+// being dropped — likely an unfoldable chain — so rebase with a full).
 func (m *Core) wantDeltaLocked() bool {
-	if m.lastOutNext == 0 {
-		return false
-	}
-	manual := m.cfg.RebaseEvery >= 2
-	if !manual && !m.cfg.RebaseAdaptive {
-		return false
-	}
-	if manual && m.sinceFull >= m.cfg.RebaseEvery-1 {
-		return false
-	}
-	limit := adaptivePendingLimit
-	if manual {
-		limit = m.cfg.RebaseEvery * 2
-	}
-	return len(m.pending) <= limit
+	return m.cfg.RebaseEvery >= 2 && m.lastOutNext != 0 &&
+		m.sinceFull < m.cfg.RebaseEvery-1 && len(m.pending) <= m.cfg.RebaseEvery*2
 }
 
 // CheckpointNow implements Manager. The individual variant checkpoints its
@@ -363,9 +334,6 @@ func (m *Core) capture(target int, by cause) time.Duration {
 	}
 	m.fullNext = false
 	m.mu.Unlock()
-	if w.delta && m.cfg.RebaseAdaptive && m.ship.rebaseDue() {
-		w.delta = false
-	}
 
 	start := m.cfg.Clock.Now()
 	var j shipJob

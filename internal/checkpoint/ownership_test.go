@@ -108,7 +108,7 @@ func TestNoCaptureBufferReuseInFlight(t *testing.T) {
 	})
 
 	cm := NewSweeping(Config{Runtime: rt, Clock: r.clk, Interval: time.Hour, StoreNode: r.secM.ID(),
-		MaxInFlight: 2, Costs: Costs{Base: 2 * time.Millisecond}})
+		Costs: Costs{Base: 2 * time.Millisecond}})
 	defer cm.Stop()
 	const n = 8
 	countAt := make(map[uint64]uint64, n)
@@ -238,7 +238,7 @@ func TestAckedPayloadReuseUnderSlowFold(t *testing.T) {
 	t.Cleanup(func() { r.secM.UnregisterStream(subjob.CkptStream(sj)) })
 
 	cm := NewSweeping(Config{Runtime: rt, Clock: r.clk, Interval: time.Hour, StoreNode: r.secM.ID(),
-		MaxInFlight: 2, Costs: Costs{Disabled: true}})
+		Costs: Costs{Disabled: true}})
 	cm.Start()
 	defer cm.Stop()
 	const n = 40

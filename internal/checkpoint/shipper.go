@@ -9,11 +9,11 @@ import (
 	"streamha/internal/transport"
 )
 
-// defaultMaxInFlight bounds how many captured-but-unshipped checkpoints a
-// manager may hold: the capture path blocks (backpressure) once this many
-// are queued, so a slow store or encode stage throttles the checkpoint
-// cadence instead of accumulating unbounded snapshots.
-const defaultMaxInFlight = 2
+// maxInFlight bounds how many captured-but-unshipped checkpoints a manager
+// may hold: the capture path blocks (backpressure) once this many are
+// queued, so a slow store or encode stage throttles the checkpoint cadence
+// instead of accumulating unbounded snapshots.
+const maxInFlight = 2
 
 // shipJob is one captured checkpoint waiting for its out-of-pause encode
 // and ship. Exactly one of snap, delta and part is set.
@@ -57,12 +57,6 @@ type shipper struct {
 	encodeTotal  time.Duration
 	shipTotal    time.Duration
 
-	// lastFullBytes and deltaSinceFull drive the adaptive rebase policy:
-	// once the deltas shipped since the last full snapshot outweigh that
-	// snapshot, rebasing is cheaper than letting the chain grow.
-	lastFullBytes  int64
-	deltaSinceFull int64
-
 	// sent holds the payloads shipped and not yet acknowledged, in
 	// sequence order; free holds the acknowledged ones waiting for an
 	// encode. Both are bounded (see keep): a payload the store never
@@ -81,20 +75,16 @@ type sentPayload struct {
 }
 
 func newShipper(cfg Config) *shipper {
-	depth := cfg.MaxInFlight
-	if depth <= 0 {
-		depth = defaultMaxInFlight
-	}
 	return &shipper{
 		cfg:    cfg,
 		stream: subjob.CkptStream(cfg.Runtime.Spec().ID),
-		jobs:   make(chan shipJob, depth),
+		jobs:   make(chan shipJob, maxInFlight),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-		// Up to depth captures wait for the shipper while one payload is
-		// encoded and one is with the store: as many buffers as that are
+		// Up to maxInFlight captures wait for the shipper while one payload
+		// is encoded and one is with the store: as many buffers as that are
 		// ever needed at once when the store keeps up.
-		keep: depth + 2,
+		keep: maxInFlight + 2,
 	}
 }
 
@@ -184,15 +174,12 @@ func (sh *shipper) process(j shipJob) {
 	case j.snap != nil:
 		sh.fulls++
 		sh.bytesFull += int64(len(state))
-		sh.lastFullBytes = int64(len(state))
-		sh.deltaSinceFull = 0
 	case j.part != nil:
 		sh.partials++
 		sh.bytesPartial += int64(len(state))
 	default:
 		sh.deltas++
 		sh.bytesDelta += int64(len(state))
-		sh.deltaSinceFull += int64(len(state))
 	}
 	sh.encodeTotal += encodeDur
 	sh.shipTotal += shipDur
@@ -243,17 +230,6 @@ func (sh *shipper) release(seq uint64) {
 		clear(sh.free[sh.keep:])
 		sh.free = sh.free[:sh.keep]
 	}
-}
-
-// rebaseDue reports whether the adaptive rebase budget is exhausted: the
-// cumulative delta bytes shipped since the last full snapshot have reached
-// that snapshot's size. The decision trails the capture path by whatever
-// is queued on the shipper (at most MaxInFlight deltas), which only delays
-// the rebase by that many checkpoints.
-func (sh *shipper) rebaseDue() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.lastFullBytes > 0 && sh.deltaSinceFull >= sh.lastFullBytes
 }
 
 // statsInto merges the shipper's encode/ship timings and full-vs-delta

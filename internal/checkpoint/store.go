@@ -23,7 +23,7 @@ const (
 )
 
 // DefaultDiskLatency approximates one synchronous write to spinning disk
-// at the experiments' one-tenth timescale.
+// at the experiments' one-fifth timescale.
 const DefaultDiskLatency = 800 * time.Microsecond
 
 // Outcome is what a Target made of one checkpoint a Store handed it.

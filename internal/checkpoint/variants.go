@@ -84,7 +84,7 @@ func (p capturePlan) capture(cfg *Config, i int, w want) (j shipJob, ack map[str
 	}
 	// Per-PE deltas fold onto the stored image, so an incremental per-PE
 	// chain still rebases with a full snapshot of the whole subjob.
-	whole := !p.perPE || cfg.RebaseEvery >= 2 || cfg.RebaseAdaptive
+	whole := !p.perPE || cfg.RebaseEvery >= 2
 
 	var consumed *map[string]uint64
 	if w.delta {

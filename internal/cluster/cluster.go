@@ -22,9 +22,6 @@ type Config struct {
 	// Latency is the one-way network latency between machines (the paper's
 	// testbed is a 1 Gbps LAN; 200 µs is the default here).
 	Latency time.Duration
-	// HeartbeatReplyCost is the CPU work per heartbeat reply; zero selects
-	// the package default.
-	HeartbeatReplyCost time.Duration
 }
 
 // Cluster owns the network and machines of one experiment.
@@ -92,7 +89,7 @@ func (c *Cluster) AddMachineIn(id, domain string) (*machine.Machine, error) {
 	c.machines[id] = m
 	c.order = append(c.order, id)
 	c.domains[id] = domain
-	c.responders[id] = detect.NewResponder(m, c.cfg.HeartbeatReplyCost)
+	c.responders[id] = detect.NewResponder(m, detect.DefaultReplyCost)
 	if c.sched != nil {
 		if err := c.sched.MemberUp(id, domain, c.schedCap); err != nil {
 			return nil, fmt.Errorf("cluster: admitting %q: %w", id, err)
@@ -209,7 +206,7 @@ func (c *Cluster) RecoverMachine(id string) error {
 		r.Close()
 	}
 	m.Restart()
-	c.responders[id] = detect.NewResponder(m, c.cfg.HeartbeatReplyCost)
+	c.responders[id] = detect.NewResponder(m, detect.DefaultReplyCost)
 	if c.sched != nil && c.members[id] {
 		return c.sched.MemberUp(id, c.domains[id], c.schedCap)
 	}

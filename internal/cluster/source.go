@@ -30,18 +30,12 @@ type SourceConfig struct {
 	// Rate×Tick elements in one data message.
 	Tick time.Duration
 	// BurstOn/BurstOff, when both positive, modulate the rate in an on/off
-	// pattern: Rate×BurstFactor during on-periods and zero during
-	// off-periods (keeping the same average when BurstFactor =
-	// (on+off)/on). Bursty input is what makes the benchmark detector
-	// fire falsely.
+	// pattern: Rate×(on+off)/on during on-periods and zero during
+	// off-periods, keeping the same average. Bursty input is what makes the
+	// benchmark detector fire falsely.
 	BurstOn, BurstOff time.Duration
-	// BurstFactor scales the on-period rate (default (on+off)/on).
-	BurstFactor float64
 	// Payload derives an element's payload from its ID; nil keeps the ID.
 	Payload func(id uint64) int64
-	// KeyOf derives an element's routing key from its ID; nil keeps the ID,
-	// which spreads keys uniformly over a keyed-parallel first stage.
-	KeyOf func(id uint64) uint64
 }
 
 // Source emits a deterministic element stream through an output queue, so
@@ -64,14 +58,8 @@ func NewSource(cfg SourceConfig) *Source {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 5 * time.Millisecond
 	}
-	if cfg.BurstFactor <= 0 && cfg.BurstOn > 0 && cfg.BurstOff > 0 {
-		cfg.BurstFactor = float64(cfg.BurstOn+cfg.BurstOff) / float64(cfg.BurstOn)
-	}
 	if cfg.Payload == nil {
 		cfg.Payload = func(id uint64) int64 { return int64(id) }
-	}
-	if cfg.KeyOf == nil {
-		cfg.KeyOf = func(id uint64) uint64 { return id }
 	}
 	s := &Source{
 		cfg:  cfg,
@@ -185,7 +173,7 @@ func (s *Source) emit(epoch time.Time, dt time.Duration) {
 	if s.cfg.BurstOn > 0 && s.cfg.BurstOff > 0 {
 		phase := s.cfg.Clock.Since(epoch) % (s.cfg.BurstOn + s.cfg.BurstOff)
 		if phase < s.cfg.BurstOn {
-			rate *= s.cfg.BurstFactor
+			rate *= float64(s.cfg.BurstOn+s.cfg.BurstOff) / float64(s.cfg.BurstOn)
 		} else {
 			rate = 0
 		}
@@ -204,7 +192,7 @@ func (s *Source) emit(epoch time.Time, dt time.Duration) {
 		s.nextID++
 		batch[i] = element.Element{
 			ID:      s.nextID,
-			Key:     s.cfg.KeyOf(s.nextID),
+			Key:     s.nextID, // uniform over a keyed-parallel first stage
 			Origin:  now,
 			Payload: s.cfg.Payload(s.nextID),
 		}

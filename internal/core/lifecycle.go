@@ -311,6 +311,7 @@ type Lifecycle struct {
 	chainBreaks int
 	restoredSeq uint64 // catalog sequence a cold restart restored, 0 otherwise
 	started     bool
+	released    bool // the placer has been handed the subjob's slots back
 
 	events    chan lcEvent
 	readState chan []byte // a rollback's read-state, from registerReadState's handler
@@ -339,8 +340,9 @@ func NewLifecycle(cfg LifecycleConfig) *Lifecycle {
 
 // Start arms the policy (standby copies, checkpoint apparatus, detector)
 // and launches the event loop. Idempotent. When it returns an error the
-// lifecycle has not started and Stop does nothing: the caller still owns
-// the primary copy and must stop it (or retry Start).
+// lifecycle has not started and Stop only releases its scheduler slots:
+// the caller still owns the primary copy and must stop it (or retry Start
+// instead of stopping).
 func (lc *Lifecycle) Start() error {
 	lc.mu.Lock()
 	if lc.started {
@@ -489,17 +491,16 @@ func (lc *Lifecycle) post(kind EventKind, at time.Time) {
 // always registered — callbacks are local to the monitor, so an event the
 // table ignores costs nothing and sends nothing.
 func (lc *Lifecycle) startDetector(monitor *machine.Machine, target transport.NodeID,
-	session string, interval time.Duration, miss, recover int) {
+	session string, interval time.Duration, miss int) {
 	det := detect.NewHeartbeat(detect.HeartbeatConfig{
-		Monitor:          monitor,
-		Clock:            lc.clk,
-		Target:           target,
-		Session:          session,
-		Interval:         interval,
-		MissThreshold:    miss,
-		RecoverThreshold: recover,
-		OnFailure:        func(at time.Time) { lc.post(EventMiss, at) },
-		OnRecovery:       func(at time.Time) { lc.post(EventRecovery, at) },
+		Monitor:       monitor,
+		Clock:         lc.clk,
+		Target:        target,
+		Session:       session,
+		Interval:      interval,
+		MissThreshold: miss,
+		OnFailure:     func(at time.Time) { lc.post(EventMiss, at) },
+		OnRecovery:    func(at time.Time) { lc.post(EventRecovery, at) },
 	})
 	lc.mu.Lock()
 	lc.det = det
@@ -631,8 +632,10 @@ func (lc *Lifecycle) watchChainBreaks() {
 
 // Stop halts the event loop and tears down everything the lifecycle owns:
 // detector, checkpoint manager, ackers, standby-side stores and both
-// runtime copies.
+// runtime copies. Started or not, it hands every scheduler slot the
+// subjob holds back to the placer, once.
 func (lc *Lifecycle) Stop() {
+	defer lc.releaseSlots()
 	lc.mu.Lock()
 	if !lc.started {
 		lc.mu.Unlock()
@@ -673,7 +676,20 @@ func (lc *Lifecycle) Stop() {
 	if rsOn != nil {
 		rsOn.UnregisterStream(subjob.ReadStateStream(lc.cfg.Spec.ID))
 	}
-	if lc.cfg.Placer != nil {
+}
+
+// releaseSlots frees the subjob's scheduler slots through the placer the
+// first time it is called: those the build placed, whether or not the
+// lifecycle ever started, and any a re-arm added.
+func (lc *Lifecycle) releaseSlots() {
+	if lc.cfg.Placer == nil {
+		return
+	}
+	lc.mu.Lock()
+	done := lc.released
+	lc.released = true
+	lc.mu.Unlock()
+	if !done {
 		lc.cfg.Placer.Release(lc.cfg.Spec.ID)
 	}
 }

@@ -46,7 +46,7 @@ type Wiring struct {
 }
 
 // Options tunes the hybrid method. The zero value selects the paper's full
-// design at the experiments' one-tenth timescale.
+// design at the experiments' one-fifth timescale.
 type Options struct {
 	// HeartbeatInterval is the detector's ping period (default 20 ms,
 	// standing in for the paper's 100 ms).
@@ -54,9 +54,6 @@ type Options struct {
 	// MissThreshold triggers switchover; the hybrid method acts on the
 	// first miss (default 1).
 	MissThreshold int
-	// RecoverThreshold is how many replies after a failure declare the
-	// primary responsive again (default 1).
-	RecoverThreshold int
 	// CheckpointInterval drives the primary's sweeping checkpoint manager
 	// (default 10 ms, standing in for the paper's 50 ms).
 	CheckpointInterval time.Duration
@@ -66,17 +63,6 @@ type Options struct {
 	// to RebaseEvery-1 delta checkpoints ship between full snapshots. 0
 	// keeps the classic full-snapshot-every-sweep protocol.
 	CheckpointRebaseEvery int
-	// CheckpointRebaseAdaptive enables the byte-budget rebase policy:
-	// deltas ship until their cumulative size exceeds the last full
-	// snapshot, then the manager rebases. CheckpointRebaseEvery remains a
-	// manual cadence cap when both are set.
-	CheckpointRebaseAdaptive bool
-	// CheckpointMaxInFlight bounds captured-but-unshipped checkpoints
-	// (default 2; see checkpoint.Config).
-	CheckpointMaxInFlight int
-	// AckInterval is the standby's acknowledgment period while active
-	// (default: CheckpointInterval).
-	AckInterval time.Duration
 	// ResumeCost is the CPU work to resume the pre-deployed copy (the
 	// paper measures resume at about a quarter of a full redeployment).
 	ResumeCost time.Duration
@@ -84,9 +70,6 @@ type Options struct {
 	// switchover only under NoPreDeploy (default 20 ms, standing in for
 	// the paper's ~200 ms redeployment).
 	DeployCost time.Duration
-	// ConnectCost is the CPU work per connection established on demand;
-	// paid at switchover only under NoEarlyConnection.
-	ConnectCost time.Duration
 	// FailStopAfter promotes the standby to primary if the failure
 	// persists this long after switchover; zero disables promotion.
 	FailStopAfter time.Duration
@@ -121,14 +104,8 @@ func (o Options) withDefaults() Options {
 	if o.MissThreshold <= 0 {
 		o.MissThreshold = 1
 	}
-	if o.RecoverThreshold <= 0 {
-		o.RecoverThreshold = 1
-	}
 	if o.CheckpointInterval <= 0 {
 		o.CheckpointInterval = 10 * time.Millisecond
-	}
-	if o.AckInterval <= 0 {
-		o.AckInterval = o.CheckpointInterval
 	}
 	if o.ResumeCost <= 0 {
 		o.ResumeCost = 5 * time.Millisecond
@@ -136,11 +113,12 @@ func (o Options) withDefaults() Options {
 	if o.DeployCost <= 0 {
 		o.DeployCost = 20 * time.Millisecond
 	}
-	if o.ConnectCost <= 0 {
-		o.ConnectCost = 2 * time.Millisecond
-	}
 	return o
 }
+
+// connectCost is the CPU work per connection established on demand: paid
+// at switchover under NoEarlyConnection, and at every passive recovery.
+const connectCost = 2 * time.Millisecond
 
 // ErrorBudget bounds the divergence the approx standby policy may admit
 // at failover. A budgeted failover promotes the standby from its last
@@ -175,18 +153,9 @@ type PassiveOptions struct {
 	CheckpointInterval time.Duration
 	// CheckpointCosts models checkpoint CPU cost.
 	CheckpointCosts checkpoint.Costs
-	// CheckpointRebaseEvery enables incremental checkpointing when ≥ 2 (see
-	// checkpoint.Config.RebaseEvery); 0 ships a full snapshot every sweep.
-	CheckpointRebaseEvery int
-	// CheckpointRebaseAdaptive enables the byte-budget rebase policy (see
-	// Options.CheckpointRebaseAdaptive).
-	CheckpointRebaseAdaptive bool
 	// DeployCost is the CPU work of deploying the recovery copy on demand
 	// (default 20 ms, standing in for the paper's ~200 ms redeployment).
 	DeployCost time.Duration
-	// ConnectCost is the CPU work per connection established during
-	// recovery (default 2 ms).
-	ConnectCost time.Duration
 	// Catalog, when non-nil, persists every stored checkpoint durably
 	// before it is acknowledged (see Options.Catalog).
 	Catalog *checkpoint.Catalog

@@ -50,17 +50,14 @@ func NewPassivePolicy(o PassiveOptions) *HybridPolicy {
 		o.MissThreshold = 3
 	}
 	hp := NewHybridPolicy(Options{
-		HeartbeatInterval:        o.HeartbeatInterval,
-		MissThreshold:            o.MissThreshold,
-		CheckpointInterval:       o.CheckpointInterval,
-		CheckpointCosts:          o.CheckpointCosts,
-		CheckpointRebaseEvery:    o.CheckpointRebaseEvery,
-		CheckpointRebaseAdaptive: o.CheckpointRebaseAdaptive,
-		DeployCost:               o.DeployCost,
-		ConnectCost:              o.ConnectCost,
-		Catalog:                  o.Catalog,
-		NoPreDeploy:              true,
-		NoEarlyConnection:        true,
+		HeartbeatInterval:  o.HeartbeatInterval,
+		MissThreshold:      o.MissThreshold,
+		CheckpointInterval: o.CheckpointInterval,
+		CheckpointCosts:    o.CheckpointCosts,
+		DeployCost:         o.DeployCost,
+		Catalog:            o.Catalog,
+		NoPreDeploy:        true,
+		NoEarlyConnection:  true,
 	})
 	hp.migrate = true
 	return hp
@@ -135,7 +132,9 @@ func (hp *HybridPolicy) Arm(lc *Lifecycle) error {
 		// Pre-deployment pays the deployment cost up front, off the
 		// critical path.
 		secM.CPU().Execute(hp.opts.DeployCost)
-		acker := checkpoint.NewAcker(sec, lc.clk, hp.opts.AckInterval)
+		// While active, the standby acknowledges as often as the primary
+		// checkpoints.
+		acker := checkpoint.NewAcker(sec, lc.clk, hp.opts.CheckpointInterval)
 		lc.mu.Lock()
 		lc.secondary = sec
 		lc.standby = newStandbyStore(sec, hp.opts.Catalog)
@@ -156,16 +155,14 @@ func (hp *HybridPolicy) Arm(lc *Lifecycle) error {
 	}
 
 	cm := checkpoint.NewSweeping(checkpoint.Config{
-		Runtime:        pri,
-		Clock:          lc.clk,
-		Interval:       hp.opts.CheckpointInterval,
-		StoreNode:      secM.ID(),
-		Costs:          hp.opts.CheckpointCosts,
-		RebaseEvery:    hp.opts.CheckpointRebaseEvery,
-		RebaseAdaptive: hp.opts.CheckpointRebaseAdaptive,
-		MaxInFlight:    hp.opts.CheckpointMaxInFlight,
-		Partial:        hp.partial,
-		SeqBase:        lc.seqBase(),
+		Runtime:     pri,
+		Clock:       lc.clk,
+		Interval:    hp.opts.CheckpointInterval,
+		StoreNode:   secM.ID(),
+		Costs:       hp.opts.CheckpointCosts,
+		RebaseEvery: hp.opts.CheckpointRebaseEvery,
+		Partial:     hp.partial,
+		SeqBase:     lc.seqBase(),
 	})
 	lc.mu.Lock()
 	lc.cm = cm
@@ -181,8 +178,7 @@ func (hp *HybridPolicy) Arm(lc *Lifecycle) error {
 		// detectors apart while the deposed one is torn down.
 		session += "/" + string(secM.ID())
 	}
-	lc.startDetector(secM, pri.Machine().ID(), session,
-		hp.opts.HeartbeatInterval, hp.opts.MissThreshold, hp.opts.RecoverThreshold)
+	lc.startDetector(secM, pri.Machine().ID(), session, hp.opts.HeartbeatInterval, hp.opts.MissThreshold)
 	return nil
 }
 
@@ -212,7 +208,7 @@ func (hp *HybridPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	if hp.opts.NoEarlyConnection || hp.opts.NoPreDeploy {
 		// Ablation: establish connections now, paying per-connection cost.
 		downs := lc.cfg.Wiring.DownstreamTargets()
-		secM.CPU().Execute(hp.opts.ConnectCost * time.Duration(len(ups)+len(downs)))
+		secM.CPU().Execute(connectCost * time.Duration(len(ups)+len(downs)))
 		part := lc.upPart()
 		for _, up := range ups {
 			up.SubscribePart(sec.Node(), subjob.DataStream(sec.Spec().ID, up.StreamID), false, part)

@@ -125,15 +125,12 @@ type HeartbeatConfig struct {
 	// Session uniquely names this detector's reply stream.
 	Session string
 	// Interval is the ping period (the paper sweeps 100–500 ms; experiments
-	// here run at one-tenth scale).
+	// here run at one-fifth scale).
 	Interval time.Duration
 	// MissThreshold is the number of consecutive missed replies that
 	// declares a failure: 3 for conventional passive standby, 1 for the
 	// hybrid method's aggressive trigger.
 	MissThreshold int
-	// RecoverThreshold is the number of replies after a declared failure
-	// that declares recovery (default 1).
-	RecoverThreshold int
 	// OnFailure and OnRecovery are invoked from the detector goroutine.
 	OnFailure  func(at time.Time)
 	OnRecovery func(at time.Time)
@@ -161,7 +158,6 @@ type Heartbeat struct {
 	lastPongAt time.Time
 	misses     int
 	failed     bool
-	okSince    int
 	events     []Event
 	started    bool
 	stop       chan struct{}
@@ -172,9 +168,6 @@ type Heartbeat struct {
 func NewHeartbeat(cfg HeartbeatConfig) *Heartbeat {
 	if cfg.MissThreshold <= 0 {
 		cfg.MissThreshold = 3
-	}
-	if cfg.RecoverThreshold <= 0 {
-		cfg.RecoverThreshold = 1
 	}
 	return &Heartbeat{
 		cfg:         cfg,
@@ -264,7 +257,6 @@ func (h *Heartbeat) tick() {
 			h.misses++
 			if !h.failed && h.misses >= h.cfg.MissThreshold {
 				h.failed = true
-				h.okSince = 0
 				h.events = append(h.events, Event{Type: EventFailure, At: now})
 				declareFailure = true
 			}
@@ -300,14 +292,13 @@ func (h *Heartbeat) onPong(_ transport.NodeID, msg transport.Message) {
 	if h.lastPong >= h.sent {
 		h.misses = 0
 	}
+	// One reply to the latest ping after a declared failure declares
+	// recovery.
 	if h.failed && msg.Seq >= h.sent {
-		h.okSince++
-		if h.okSince >= h.cfg.RecoverThreshold {
-			h.failed = false
-			h.misses = 0
-			h.events = append(h.events, Event{Type: EventRecovery, At: now})
-			declareRecovery = true
-		}
+		h.failed = false
+		h.misses = 0
+		h.events = append(h.events, Event{Type: EventRecovery, At: now})
+		declareRecovery = true
 	}
 	h.mu.Unlock()
 	if declareRecovery && h.cfg.OnRecovery != nil {

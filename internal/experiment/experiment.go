@@ -28,7 +28,7 @@ import (
 const TimeScale = 5
 
 // Params are the shared experiment parameters; zero fields take the
-// defaults of DefaultParams, which mirror Section V-A at one-tenth scale.
+// defaults of DefaultParams, which mirror Section V-A at one-fifth scale.
 type Params struct {
 	// Rate is the source rate in elements per second (paper: 1000/s).
 	Rate float64
@@ -64,7 +64,7 @@ type Params struct {
 	Seed int64
 }
 
-// DefaultParams returns the Section V-A setup at one-tenth timescale.
+// DefaultParams returns the Section V-A setup at one-fifth timescale.
 func DefaultParams() Params {
 	return Params{
 		Rate:               1000,

@@ -16,18 +16,14 @@ func startSpikes(tb *testbed, m *machine.Machine, fraction float64, seed int64) 
 	inj := failure.NewInjector(failure.InjectorConfig{
 		CPU:   m.CPU(),
 		Clock: tb.cl.Clock(),
-		// Random (exponential) arrivals with fixed spike lengths: the
-		// measured cluster's spikes are short and bounded (Figure 3), and
-		// exponential durations would make rare very long joint stalls
-		// dominate the means.
-		Pattern:         failure.Poisson,
-		DurationPattern: failure.Regular,
-		Gap:             failure.GapForFraction(p.SpikeDuration, fraction),
-		Duration:        p.SpikeDuration,
-		LoadMin:         p.SpikeLoadMin,
-		LoadMax:         p.SpikeLoadMax,
-		Seed:            seed,
-		InitialDelay:    time.Duration(seed%7) * 37 * time.Millisecond, // decorrelate machines
+		// Random (exponential) arrivals; spike lengths are always fixed.
+		Pattern:      failure.Poisson,
+		Gap:          failure.GapForFraction(p.SpikeDuration, fraction),
+		Duration:     p.SpikeDuration,
+		LoadMin:      p.SpikeLoadMin,
+		LoadMax:      p.SpikeLoadMax,
+		Seed:         seed,
+		InitialDelay: time.Duration(seed%7) * 37 * time.Millisecond, // decorrelate machines
 	})
 	inj.Start()
 	return inj

@@ -143,7 +143,7 @@ func runScaleRescale(serve time.Duration) (ScaleRescale, error) {
 
 	clk := cl.Clock()
 	clk.Sleep(serve)
-	rep, err := pipe.ScaleOut(0, ha.RescalePlacement{Primary: "p-new", Secondary: "s-new"}, ha.RescaleOptions{})
+	rep, err := pipe.ScaleOut(0, ha.RescalePlacement{Primary: "p-new", Secondary: "s-new"})
 	if err != nil {
 		return res, err
 	}

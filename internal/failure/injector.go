@@ -38,23 +38,18 @@ type InjectorConfig struct {
 	Clock clock.Clock
 	// Pattern is the arrival process of spikes.
 	Pattern Pattern
-	// DurationPattern draws spike lengths. The zero value is Regular
-	// (fixed durations) regardless of Pattern: measured cluster spikes are
-	// short and bounded (Figure 3), and exponential durations would let
-	// rare very long stalls dominate means. Set Poisson explicitly for
-	// exponential spike lengths.
-	DurationPattern Pattern
 	// Gap is the (mean, for Poisson) idle time between the end of one spike
 	// and the start of the next.
 	Gap time.Duration
-	// Duration is the (mean, for Poisson-duration) spike length.
+	// Duration is the length of every spike, whatever the Pattern: the
+	// measured cluster's spikes are short and bounded (Figure 3), and
+	// exponential durations would let rare very long joint stalls dominate
+	// the means.
 	Duration time.Duration
 	// LoadMin and LoadMax bound the spike's background load; each spike
 	// draws uniformly from the range. The paper's spikes push total CPU to
-	// 95–100%.
+	// 95–100%. Outside spikes the background load is zero.
 	LoadMin, LoadMax float64
-	// BaseLoad is the background load outside spikes (usually zero).
-	BaseLoad float64
 	// InitialDelay postpones the first spike.
 	InitialDelay time.Duration
 	// Seed makes the spike schedule reproducible.
@@ -124,7 +119,7 @@ func (in *Injector) Start() {
 	go in.run()
 }
 
-// Stop halts injection and restores the base load.
+// Stop halts injection and clears the background load.
 func (in *Injector) Stop() {
 	in.mu.Lock()
 	if !in.started {
@@ -138,7 +133,7 @@ func (in *Injector) Stop() {
 		close(in.stop)
 	}
 	<-in.done
-	in.cfg.CPU.SetBackgroundLoad(in.cfg.BaseLoad)
+	in.cfg.CPU.SetBackgroundLoad(0)
 }
 
 // Spikes returns the ground-truth spike intervals injected so far.
@@ -150,7 +145,7 @@ func (in *Injector) Spikes() []Spike {
 
 func (in *Injector) run() {
 	defer close(in.done)
-	in.cfg.CPU.SetBackgroundLoad(in.cfg.BaseLoad)
+	in.cfg.CPU.SetBackgroundLoad(0)
 	if in.cfg.InitialDelay > 0 && !in.sleep(in.cfg.InitialDelay) {
 		return
 	}
@@ -163,16 +158,12 @@ func (in *Injector) run() {
 		if in.cfg.LoadMax > in.cfg.LoadMin {
 			load += in.rng.Float64() * (in.cfg.LoadMax - in.cfg.LoadMin)
 		}
-		dur := in.cfg.Duration
-		if in.cfg.DurationPattern == Poisson {
-			dur = in.drawLocked(in.cfg.Duration)
-		}
 		in.mu.Unlock()
 
 		start := in.cfg.Clock.Now()
 		in.cfg.CPU.SetBackgroundLoad(load)
-		ok := in.sleep(dur)
-		in.cfg.CPU.SetBackgroundLoad(in.cfg.BaseLoad)
+		ok := in.sleep(in.cfg.Duration)
+		in.cfg.CPU.SetBackgroundLoad(0)
 		in.mu.Lock()
 		in.spikes = append(in.spikes, Spike{Start: start, End: in.cfg.Clock.Now()})
 		in.mu.Unlock()
@@ -185,16 +176,11 @@ func (in *Injector) run() {
 // draw returns mean for Regular arrivals and an exponential variate with
 // that mean for Poisson arrivals.
 func (in *Injector) draw(mean time.Duration) time.Duration {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.drawLocked(mean)
-}
-
-// drawLocked is draw with in.mu already held.
-func (in *Injector) drawLocked(mean time.Duration) time.Duration {
 	if in.cfg.Pattern == Regular || mean <= 0 {
 		return mean
 	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	d := time.Duration(float64(mean) * in.rng.ExpFloat64())
 	// Clamp pathological draws so a single spike cannot dominate a run.
 	if d > 10*mean {

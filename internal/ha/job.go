@@ -155,14 +155,13 @@ func (j *job) build(nodes []*node) error {
 			continue
 		}
 		n.src = cluster.NewSource(cluster.SourceConfig{
-			Machine:     m,
-			Clock:       j.cl.Clock(),
-			Stream:      n.stream,
-			Rate:        n.source.Rate,
-			Tick:        n.source.Tick,
-			BurstOn:     n.source.BurstOn,
-			BurstOff:    n.source.BurstOff,
-			BurstFactor: n.source.BurstFactor,
+			Machine:  m,
+			Clock:    j.cl.Clock(),
+			Stream:   n.stream,
+			Rate:     n.source.Rate,
+			Tick:     n.source.Tick,
+			BurstOn:  n.source.BurstOn,
+			BurstOff: n.source.BurstOff,
 		})
 		if n.down != nil {
 			n.src.Out().SetPartitioner(n.down)
@@ -287,24 +286,30 @@ func (j *job) buildGroup(n *node, k int, pl RescalePlacement, joining bool) (*Gr
 		BatchSize: n.def.BatchSize,
 	}
 	pol := policyFor(n.def.Mode, j.hybrid, j.ps, j.approx, j.ackInterval)
+	var pri, sec *subjob.Runtime
 	priM, secM, spareM, err := resolvePlacement(j.cl, j.placer, spec.ID, pl, pol.NeedsStandbyMachine())
+	if err == nil {
+		pri, sec, err = startCopies(spec, pol, priM, secM, joining, func(rt *subjob.Runtime) {
+			if n.split != nil {
+				rt.SetInputPartition(n.split, k)
+			}
+			if n.down != nil {
+				rt.Out().SetPartitioner(n.down)
+			}
+		})
+	}
 	if err != nil {
+		// No lifecycle will own what the placer committed so far (a primary
+		// placed before the standby or spare check failed, or both copies'
+		// hosts when a copy failed to start): hand it back here.
+		if j.placer != nil {
+			j.placer.Release(spec.ID)
+		}
 		return nil, err
 	}
 	part := -1
 	if n.def.partitioned() {
 		part = k
-	}
-	pri, sec, err := startCopies(spec, pol, priM, secM, joining, func(rt *subjob.Runtime) {
-		if n.split != nil {
-			rt.SetInputPartition(n.split, k)
-		}
-		if n.down != nil {
-			rt.Out().SetPartitioner(n.down)
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	g := &Group{Def: n.def, Spec: spec, Mode: n.def.Mode, Stage: n.stage, Part: part}
 	g.HA = core.NewLifecycle(core.LifecycleConfig{
@@ -471,11 +476,11 @@ func (j *job) start() error {
 }
 
 // stop halts everything: sources first, then lifecycles (which own the
-// copies and their HA apparatus) and the sinks. A lifecycle that never
-// started — the job was not started, or start failed before reaching it —
-// leaves its copies running, so stop stops each group's current copies
-// too; after Lifecycle.Stop they are stopped already and this does
-// nothing.
+// copies and their HA apparatus, and release the group's scheduler slots)
+// and the sinks. A lifecycle that never started — the job was not started,
+// or start failed before reaching it — leaves its copies running, so stop
+// stops each group's current copies too; after Lifecycle.Stop they are
+// stopped already and this does nothing.
 func (j *job) stop() {
 	for _, n := range j.nodes {
 		if n.src != nil {

@@ -47,12 +47,12 @@ type SubjobDef struct {
 	// Parallelism ≥ 1. Rescaling moves logical partitions between
 	// instances, so Partitions bounds the granularity of rebalancing.
 	Partitions int
-	// Primaries, Secondaries and Spares place instance k on
-	// Primaries[k] etc.; instances beyond the slice fall back to
-	// Primary/Secondary/Spare. Meaningful only with Parallelism ≥ 1.
+	// Primaries and Secondaries place instance k on Primaries[k] and
+	// Secondaries[k]; instances beyond a slice fall back to Primary or
+	// Secondary. Every instance shares Spare. Meaningful only with
+	// Parallelism ≥ 1.
 	Primaries   []string
 	Secondaries []string
-	Spares      []string
 }
 
 // partitioned reports whether the stage uses the keyed-parallel path.
@@ -66,8 +66,8 @@ func (d SubjobDef) instances() int {
 	return 1
 }
 
-// placementOf places instance k: Primaries[k] etc., or
-// Primary/Secondary/Spare beyond the slices.
+// placementOf places instance k: Primaries[k] and Secondaries[k], or
+// Primary and Secondary beyond the slices, and Spare.
 func (d SubjobDef) placementOf(k int) RescalePlacement {
 	pick := func(list []string, fallback string) string {
 		if k < len(list) && list[k] != "" {
@@ -78,18 +78,17 @@ func (d SubjobDef) placementOf(k int) RescalePlacement {
 	return RescalePlacement{
 		Primary:   pick(d.Primaries, d.Primary),
 		Secondary: pick(d.Secondaries, d.Secondary),
-		Spare:     pick(d.Spares, d.Spare),
+		Spare:     d.Spare,
 	}
 }
 
 // SourceDef places and shapes the job's source.
 type SourceDef struct {
-	Machine     string
-	Rate        float64
-	Tick        time.Duration
-	BurstOn     time.Duration
-	BurstOff    time.Duration
-	BurstFactor float64
+	Machine  string
+	Rate     float64
+	Tick     time.Duration
+	BurstOn  time.Duration
+	BurstOff time.Duration
 }
 
 // PipelineConfig deploys a chain job (the paper's 8-PE / 4-subjob

@@ -17,32 +17,15 @@ type RescalePlacement struct {
 	Spare     string
 }
 
-// RescaleOptions tunes a ScaleOut.
-type RescaleOptions struct {
-	// SyncRounds is the number of delta rounds shipped after the full
-	// snapshot while the donor keeps serving (default 2). More rounds
-	// shrink the final delta and so the cutover pause.
-	SyncRounds int
-	// RoundGap is how long the donor keeps processing between delta rounds
-	// (default 20 ms).
-	RoundGap time.Duration
-	// DrainTimeout bounds the wait for the donor's backlog to empty during
-	// cutover (default 5 s).
-	DrainTimeout time.Duration
-}
-
-func (o RescaleOptions) withDefaults() RescaleOptions {
-	if o.SyncRounds <= 0 {
-		o.SyncRounds = 2
-	}
-	if o.RoundGap <= 0 {
-		o.RoundGap = 20 * time.Millisecond
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 5 * time.Second
-	}
-	return o
-}
+// A ScaleOut ships syncRounds delta rounds after the full snapshot while
+// the donor keeps serving, roundGap apart; more rounds shrink the final
+// delta and so the cutover pause. drainTimeout bounds the wait for the
+// donor's backlog to empty during cutover.
+const (
+	syncRounds   = 2
+	roundGap     = 20 * time.Millisecond
+	drainTimeout = 5 * time.Second
+)
 
 // RescaleReport describes one completed ScaleOut.
 type RescaleReport struct {
@@ -85,8 +68,7 @@ type RescaleReport struct {
 // instance's input dedups everything the donor already consumed, and its
 // partition guard drops everything the donor still owns. The cutover is
 // recorded on the donor's lifecycle as a migration event.
-func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) (*RescaleReport, error) {
-	opt = opt.withDefaults()
+func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement) (*RescaleReport, error) {
 	j := p.j
 	clk := j.cl.Clock()
 	started := clk.Now()
@@ -188,9 +170,9 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 	// A full round, then chained delta rounds: the donor keeps processing
 	// between captures, so each round ships only what changed and the final
 	// gap stays small.
-	for i := 0; i <= opt.SyncRounds; i++ {
+	for i := 0; i <= syncRounds; i++ {
 		if i > 0 {
-			clk.Sleep(opt.RoundGap)
+			clk.Sleep(roundGap)
 		}
 		donor.WithPaused(func() { err = syncRound(i == 0) })
 		if err != nil {
@@ -210,13 +192,13 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 			up.Activate(donor.Node(), true)
 		}
 	}
-	deadline := clk.Now().Add(opt.DrainTimeout)
+	deadline := clk.Now().Add(drainTimeout)
 	var cutErr error
 	for settled := false; !settled; {
 		for donor.Backlog() > 0 {
 			if clk.Now().After(deadline) {
 				reopen()
-				return nil, fmt.Errorf("ha: ScaleOut: donor backlog did not drain within %v", opt.DrainTimeout)
+				return nil, fmt.Errorf("ha: ScaleOut: donor backlog did not drain within %v", drainTimeout)
 			}
 			clk.Sleep(500 * time.Microsecond)
 		}

@@ -80,7 +80,7 @@ func TestRescaleExactlyOnce(t *testing.T) {
 	clk := cl.Clock()
 	clk.Sleep(300 * time.Millisecond)
 
-	rep, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "p-new", Secondary: "s-new"}, ha.RescaleOptions{})
+	rep, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "p-new", Secondary: "s-new"})
 	if err != nil {
 		t.Fatalf("ScaleOut: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestPartitionedMetrics(t *testing.T) {
 		t.Fatalf("partition stats %+v", st)
 	}
 
-	if _, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "p-new", Secondary: "s-new"}, ha.RescaleOptions{}); err != nil {
+	if _, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "p-new", Secondary: "s-new"}); err != nil {
 		t.Fatalf("ScaleOut: %v", err)
 	}
 	names = make(map[string]bool)
@@ -238,10 +238,10 @@ func TestRescaleRejections(t *testing.T) {
 	}
 
 	pl := ha.RescalePlacement{Primary: "x"}
-	if _, err := p.ScaleOut(0, pl, ha.RescaleOptions{}); err == nil {
+	if _, err := p.ScaleOut(0, pl); err == nil {
 		t.Fatal("ScaleOut accepted a mid-chain stage")
 	}
-	if _, err := p.ScaleOut(1, pl, ha.RescaleOptions{}); err == nil {
+	if _, err := p.ScaleOut(1, pl); err == nil {
 		t.Fatal("ScaleOut accepted an unkeyed stage")
 	}
 }
@@ -275,7 +275,7 @@ func TestRescaleRejectsActive(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	if _, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "x"}, ha.RescaleOptions{}); err == nil {
+	if _, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "x"}); err == nil {
 		t.Fatal("ScaleOut accepted an active-standby stage")
 	}
 }
@@ -303,7 +303,7 @@ func TestRescaleValidatesPlacementFirst(t *testing.T) {
 		{Primary: "p-new", Secondary: "nowhere"},
 		{Primary: "p-new", Secondary: "s-new", Spare: "nowhere"},
 	} {
-		if _, err := p.ScaleOut(0, pl, ha.RescaleOptions{}); err == nil {
+		if _, err := p.ScaleOut(0, pl); err == nil {
 			t.Fatalf("ScaleOut accepted %+v", pl)
 		}
 		if n := len(p.StageInstances(0)); n != 2 {
@@ -317,7 +317,7 @@ func TestRescaleValidatesPlacementFirst(t *testing.T) {
 		}
 	}
 
-	if _, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "p-new", Secondary: "s-new"}, ha.RescaleOptions{}); err != nil {
+	if _, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "p-new", Secondary: "s-new"}); err != nil {
 		t.Fatalf("ScaleOut: %v", err)
 	}
 	clk.Sleep(300 * time.Millisecond)

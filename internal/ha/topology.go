@@ -19,7 +19,6 @@ type TopologySource struct {
 	Rate float64
 	// Burst shaping, as in SourceDef.
 	BurstOn, BurstOff time.Duration
-	BurstFactor       float64
 }
 
 // TopologySubjob declares one subjob node of a DAG job.
@@ -80,7 +79,7 @@ func NewTopology(cfg TopologyConfig) (*Topology, error) {
 	var nodes []*node
 	for _, s := range cfg.Sources {
 		nodes = append(nodes, &node{kind: sourceNode, name: s.Name, machine: s.Machine,
-			source: SourceDef{Rate: s.Rate, BurstOn: s.BurstOn, BurstOff: s.BurstOff, BurstFactor: s.BurstFactor}})
+			source: SourceDef{Rate: s.Rate, BurstOn: s.BurstOn, BurstOff: s.BurstOff}})
 	}
 	for _, sj := range cfg.Subjobs {
 		nodes = append(nodes, &node{kind: subjobNode, name: sj.ID, inputs: sj.Inputs, stage: -1, def: SubjobDef{

@@ -99,8 +99,6 @@ type (
 	// RescalePlacement places the instance Pipeline.ScaleOut adds to a
 	// keyed-parallel stage.
 	RescalePlacement = ha.RescalePlacement
-	// RescaleOptions tunes a live ScaleOut (sync rounds, drain timeout).
-	RescaleOptions = ha.RescaleOptions
 	// RescaleReport describes one completed live rescale.
 	RescaleReport = ha.RescaleReport
 )
