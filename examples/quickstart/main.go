@@ -1,7 +1,8 @@
 // Command quickstart is the smallest end-to-end streamha program: a
 // two-subjob pipeline protected by the hybrid method, a transient failure
 // injected on one primary, and the resulting switchover/rollback cycle and
-// delay impact printed.
+// delay impact printed. It exits 1 unless the failure caused at least one
+// switchover and one rollback.
 package main
 
 import (
@@ -61,11 +62,12 @@ func main() {
 	time.Sleep(1 * time.Second)
 
 	g := pipe.Group(0)
-	for i, sw := range g.HA.Switches() {
+	switches, rollbacks := g.HA.Switches(), g.HA.Rollbacks()
+	for i, sw := range switches {
 		fmt.Printf("switchover %d: detected %.1f ms into the failure, standby active %.1f ms later\n",
 			i+1, sw.DetectedAt.Sub(spikeStart).Seconds()*1e3, sw.ReadyAt.Sub(sw.DetectedAt).Seconds()*1e3)
 	}
-	for i, rb := range g.HA.Rollbacks() {
+	for i, rb := range rollbacks {
 		fmt.Printf("rollback %d: %.1f ms, %d element-units of state read back (adopted=%v)\n",
 			i+1, rb.DoneAt.Sub(rb.StartedAt).Seconds()*1e3, rb.StateUnits, rb.Adopted)
 	}
@@ -73,4 +75,10 @@ func main() {
 		pipe.Sink().Received(),
 		pipe.Sink().Delays().Mean().Seconds()*1e3,
 		pipe.Sink().Delays().Percentile(99).Seconds()*1e3)
+
+	// The spike must have driven the hybrid cycle at least once: a
+	// switchover to the standby, then a rollback to the primary.
+	if len(switches) == 0 || len(rollbacks) == 0 {
+		log.Fatalf("the spike caused %d switchovers and %d rollbacks; want at least one of each", len(switches), len(rollbacks))
+	}
 }

@@ -18,14 +18,12 @@ import (
 )
 
 // Retention bounds how much history a catalog keeps per subjob. The
-// chain of the current head is always pinned regardless of either bound:
+// chain of the current head is always pinned regardless of the bound:
 // collecting a full snapshot that a live delta chain still folds onto
 // would make the head unrestorable.
 type Retention struct {
 	// MaxCheckpoints caps the number of entries per subjob (0: unlimited).
 	MaxCheckpoints int
-	// MaxAge expires entries older than this (0: unlimited).
-	MaxAge time.Duration
 }
 
 // Catalog maintains the durable checkpoint history of any number of
@@ -34,7 +32,6 @@ type Retention struct {
 type Catalog struct {
 	b   Backend
 	ret Retention
-	now func() time.Time
 
 	mu          sync.Mutex
 	persisted   map[string]int
@@ -47,7 +44,6 @@ func NewCatalog(b Backend, ret Retention) *Catalog {
 	return &Catalog{
 		b:           b,
 		ret:         ret,
-		now:         time.Now,
 		persisted:   make(map[string]int),
 		persistErrs: make(map[string]int),
 		gcRemoved:   make(map[string]int),
@@ -57,14 +53,7 @@ func NewCatalog(b Backend, ret Retention) *Catalog {
 // Backend returns the catalog's persistence backend.
 func (c *Catalog) Backend() Backend { return c.b }
 
-// SetNow overrides the catalog's time source (age-based retention tests).
-func (c *Catalog) SetNow(fn func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = fn
-}
-
-// Put persists one encoded checkpoint payload for sj at seq, deriving
+// put persists one encoded checkpoint payload for sj at seq, deriving
 // kind and chain linkage from the payload header, then applies retention.
 // A failed persist is counted and returned; the caller (a store) must
 // then withhold its acknowledgment, since upstream would otherwise trim
@@ -75,7 +64,7 @@ func (c *Catalog) SetNow(fn func() time.Time) {
 // (e.g. "job/sj0@p0") so several copies of one subjob — each with its
 // own checkpoint sequence — keep disjoint histories in one catalog. Only
 // the part before the '@' must match the payload.
-func (c *Catalog) Put(sj string, seq uint64, units int, payload []byte) error {
+func (c *Catalog) put(sj string, seq uint64, units int, payload []byte) error {
 	info, err := subjob.PeekCheckpoint(payload)
 	base := sj
 	if i := strings.IndexByte(sj, '@'); i >= 0 {
@@ -101,9 +90,7 @@ func (c *Catalog) Put(sj string, seq uint64, units int, payload []byte) error {
 		e.Kind = KindDelta
 		e.PrevSeq = info.PrevSeq
 	}
-	c.mu.Lock()
-	e.StoredAt = c.now().UnixMilli()
-	c.mu.Unlock()
+	e.StoredAt = time.Now().UnixMilli()
 	if err := c.b.Put(e, payload); err != nil {
 		c.mu.Lock()
 		c.persistErrs[sj]++
@@ -113,7 +100,7 @@ func (c *Catalog) Put(sj string, seq uint64, units int, payload []byte) error {
 	c.mu.Lock()
 	c.persisted[sj]++
 	c.mu.Unlock()
-	return c.GC(sj)
+	return c.gc(sj)
 }
 
 // Entries returns sj's cataloged checkpoints, sorted by sequence number.
@@ -239,7 +226,7 @@ func (c *Catalog) Compact(sj string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := c.Put(sj, head, snap.ElementUnits(), payload); err != nil {
+	if err := c.put(sj, head, snap.ElementUnits(), payload); err != nil {
 		return 0, err
 	}
 	entries, err := c.b.List(sj)
@@ -260,23 +247,19 @@ func (c *Catalog) Compact(sj string) (uint64, error) {
 	return head, nil
 }
 
-// GC applies retention to sj. The head chain is pinned: no entry the
-// current head still folds onto is ever collected, whatever the bounds
-// say. Entries above the head — deltas that arrived out of order and are
+// gc applies retention to sj. The head chain is pinned: no entry the
+// current head still folds onto is ever collected, whatever the bound
+// says. Entries above the head — deltas that arrived out of order and are
 // waiting for a missing link — are pinned too, since a late arrival can
-// complete their chain and move the head past them; the age bound alone
-// may expire them. Retention counts and expiry apply to everything else,
-// oldest first.
-func (c *Catalog) GC(sj string) error {
-	c.mu.Lock()
-	ret := c.ret
-	nowMS := c.now().UnixMilli()
-	c.mu.Unlock()
-	if ret.MaxCheckpoints <= 0 && ret.MaxAge <= 0 {
+// complete their chain and move the head past them. The count bound
+// applies to everything else, oldest first.
+func (c *Catalog) gc(sj string) error {
+	limit := c.ret.MaxCheckpoints
+	if limit <= 0 {
 		return nil
 	}
 	entries, err := c.b.List(sj)
-	if err != nil {
+	if err != nil || len(entries) <= limit {
 		return err
 	}
 	bySeq := make(map[uint64]CatalogEntry, len(entries))
@@ -297,38 +280,22 @@ func (c *Catalog) GC(sj string) error {
 		}
 	}
 
-	var victims []CatalogEntry
-	if ret.MaxAge > 0 {
-		cutoff := nowMS - ret.MaxAge.Milliseconds()
-		for _, e := range entries {
-			if !pinned[e.Seq] && e.StoredAt > 0 && e.StoredAt < cutoff {
-				victims = append(victims, e)
-				pinned[e.Seq] = true // claimed: don't double-count below
-			}
+	excess := len(entries) - limit
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Seq < entries[j].Seq })
+	for _, e := range entries {
+		if excess == 0 {
+			break
 		}
-	}
-	if ret.MaxCheckpoints > 0 && len(entries)-len(victims) > ret.MaxCheckpoints {
-		excess := len(entries) - len(victims) - ret.MaxCheckpoints
-		sorted := append([]CatalogEntry(nil), entries...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
-		for _, e := range sorted {
-			if excess == 0 {
-				break
-			}
-			if pinned[e.Seq] {
-				continue
-			}
-			victims = append(victims, e)
-			excess--
+		if pinned[e.Seq] {
+			continue
 		}
-	}
-	for _, e := range victims {
 		if err := c.b.Remove(sj, e.Seq); err != nil {
 			return err
 		}
 		c.mu.Lock()
 		c.gcRemoved[sj]++
 		c.mu.Unlock()
+		excess--
 	}
 	return nil
 }
@@ -341,8 +308,8 @@ type SubjobCounters struct {
 	GCRemoved   int `json:"gc_removed"`
 }
 
-// Counters returns the catalog's activity counters for sj.
-func (c *Catalog) Counters(sj string) SubjobCounters {
+// counters returns the catalog's activity counters for sj.
+func (c *Catalog) counters(sj string) SubjobCounters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return SubjobCounters{

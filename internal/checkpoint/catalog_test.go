@@ -47,7 +47,7 @@ func mustPutSnap(t *testing.T, c *Catalog, sj string, seq uint64, s *subjob.Snap
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(sj, seq, s.ElementUnits(), payload); err != nil {
+	if err := c.put(sj, seq, s.ElementUnits(), payload); err != nil {
 		t.Fatalf("put full @%d: %v", seq, err)
 	}
 }
@@ -58,7 +58,7 @@ func mustPutDelta(t *testing.T, c *Catalog, sj string, seq uint64, d *subjob.Del
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(sj, seq, d.ElementUnits(), payload); err != nil {
+	if err := c.put(sj, seq, d.ElementUnits(), payload); err != nil {
 		t.Fatalf("put delta @%d: %v", seq, err)
 	}
 }
@@ -200,33 +200,6 @@ func TestCatalogGCPinsOutOfOrderDeltas(t *testing.T) {
 	})
 }
 
-func TestCatalogAgeGC(t *testing.T) {
-	c := NewCatalog(NewMemBackend(), Retention{MaxAge: time.Minute})
-	now := time.Unix(1000, 0)
-	c.SetNow(func() time.Time { return now })
-	const sj = "j/sj"
-	mustPutSnap(t, c, sj, 1, ckptSnap(sj, 10, "old"))
-	mustPutDelta(t, c, sj, 2, ckptDelta(sj, 1, 20, "d2"))
-
-	// Both age past the bound, but they are the head chain: pinned.
-	now = now.Add(10 * time.Minute)
-	if err := c.GC(sj); err != nil {
-		t.Fatal(err)
-	}
-	if got := seqsOf(t, c, sj); !reflect.DeepEqual(got, []uint64{1, 2}) {
-		t.Fatalf("age GC collected the pinned head chain: %v", got)
-	}
-
-	// A fresh re-basing full unpins them; the expired entries go.
-	mustPutSnap(t, c, sj, 3, ckptSnap(sj, 30, "fresh"))
-	if got := seqsOf(t, c, sj); !reflect.DeepEqual(got, []uint64{3}) {
-		t.Fatalf("expired entries survived: %v", got)
-	}
-	if c.Counters(sj).GCRemoved != 2 {
-		t.Fatalf("gc counter = %d, want 2", c.Counters(sj).GCRemoved)
-	}
-}
-
 func TestCatalogCompact(t *testing.T) {
 	catalogBackends(t, func(t *testing.T, b Backend) {
 		c := NewCatalog(b, Retention{})
@@ -263,18 +236,18 @@ func TestCatalogRejectsForeignPayloadAndAllowsInstanceKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("j/other", 1, 1, payload); err == nil {
+	if err := c.put("j/other", 1, 1, payload); err == nil {
 		t.Fatal("foreign payload accepted")
 	}
-	if c.Counters("j/other").PersistErrs != 1 {
-		t.Fatalf("persist error not counted: %+v", c.Counters("j/other"))
+	if c.counters("j/other").PersistErrs != 1 {
+		t.Fatalf("persist error not counted: %+v", c.counters("j/other"))
 	}
 	// An "@instance" suffix keys copies apart while still cross-checking
 	// the payload's own subjob ID.
-	if err := c.Put("j/sj@p0", 1, 1, payload); err != nil {
+	if err := c.put("j/sj@p0", 1, 1, payload); err != nil {
 		t.Fatalf("instance key rejected: %v", err)
 	}
-	if err := c.Put("j/other@p0", 1, 1, payload); err == nil {
+	if err := c.put("j/other@p0", 1, 1, payload); err == nil {
 		t.Fatal("foreign payload accepted under instance key")
 	}
 	if _, seq, err := c.Restore("j/sj@p0", 0); err != nil || seq != 1 {

@@ -17,7 +17,7 @@ import (
 func TestPredecessorStopLeavesSuccessorWired(t *testing.T) {
 	variants := []struct {
 		name    string
-		mk      func(Config) Manager
+		mk      func(Config) *Core
 		onTrims bool
 	}{
 		{"sweeping", sweeping, true},

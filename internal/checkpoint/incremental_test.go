@@ -47,13 +47,13 @@ func waitOutLen(t *testing.T, rt *subjob.Runtime, n int) {
 // full snapshot plus N deltas must hold the byte-identical image a store
 // fed only full snapshots holds after the same workload.
 func TestIncrementalRestoreEquivalence(t *testing.T) {
-	variants := map[string]func(Config) Manager{
-		"sweeping":    func(cfg Config) Manager { return NewSweeping(cfg) },
-		"synchronous": func(cfg Config) Manager { return NewSynchronous(cfg) },
-		"individual":  func(cfg Config) Manager { return NewIndividual(cfg) },
+	variants := map[string]func(Config) *Core{
+		"sweeping":    func(cfg Config) *Core { return NewSweeping(cfg) },
+		"synchronous": func(cfg Config) *Core { return NewSynchronous(cfg) },
+		"individual":  func(cfg Config) *Core { return NewIndividual(cfg) },
 	}
 	const rounds = 6
-	run := func(t *testing.T, mk func(Config) Manager, rebase int) ([]byte, StoreStats) {
+	run := func(t *testing.T, mk func(Config) *Core, rebase int) ([]byte, StoreStats) {
 		r := newRig(t, InMemory)
 		cm := mk(Config{
 			Runtime:     r.rt,

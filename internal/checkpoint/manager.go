@@ -103,33 +103,6 @@ type Config struct {
 	Partial bool
 }
 
-// Manager is the common interface of the checkpointing variants.
-type Manager interface {
-	// Start launches the manager.
-	Start()
-	// Stop halts it and waits for its goroutines.
-	Stop()
-	// CheckpointNow takes one checkpoint synchronously (outside the timer),
-	// returning the time the pause lasted. Used by recovery paths and
-	// benchmarks. The encode and ship happen on the background shipper.
-	CheckpointNow() time.Duration
-	// ForceFull makes the next checkpoint a full snapshot regardless of
-	// the incremental cadence — the rebase a standby-side store requests
-	// after reporting a broken delta chain.
-	ForceFull()
-	// Pause suspends checkpointing. A live rescaling pauses the donor's
-	// manager while it drives its own CaptureFull/CaptureDelta chain over
-	// the same runtime — an interleaved manager capture would reset the
-	// runtime's per-PE delta tracking and silently corrupt both chains.
-	Pause()
-	// Resume re-enables checkpointing and forces the next checkpoint full,
-	// re-basing the manager's own delta chain past whatever the pause
-	// interleaved.
-	Resume()
-	// Stats captures the manager's activity for the metrics registry.
-	Stats() ManagerStats
-}
-
 // Core is the one checkpoint manager behind the paper's three variants. It
 // owns everything they share: start/stop and the runtime's two hooks, the
 // capture → sequence → shipper hand-off, the pending-ack window, the
@@ -205,8 +178,9 @@ var hooks = struct {
 	owner map[*subjob.Runtime]*Core
 }{owner: make(map[*subjob.Runtime]*Core)}
 
-// Start implements Manager. It takes over the runtime's store-ack handler
-// (and, trim-triggered, its trim hook), then launches the trigger loop.
+// Start launches the manager. It takes over the runtime's store-ack
+// handler (and, trim-triggered, its trim hook), then launches the trigger
+// loop.
 func (m *Core) Start() {
 	m.mu.Lock()
 	if m.started {
@@ -232,7 +206,7 @@ func (m *Core) Start() {
 	go m.run()
 }
 
-// Stop implements Manager: it waits for the trigger loop and the shipper,
+// Stop halts the manager: it waits for the trigger loop and the shipper,
 // then releases the runtime's hooks if this manager still owns them.
 func (m *Core) Stop() {
 	m.mu.Lock()
@@ -304,10 +278,6 @@ func (m *Core) wantDeltaLocked() bool {
 	return m.cfg.RebaseEvery >= 2 && m.lastOutNext != 0 &&
 		m.sinceFull < m.cfg.RebaseEvery-1 && len(m.pending) <= m.cfg.RebaseEvery*2
 }
-
-// CheckpointNow implements Manager. The individual variant checkpoints its
-// first PE.
-func (m *Core) CheckpointNow() time.Duration { return m.capture(0, byCall) }
 
 // capture takes one checkpoint: pause, run the variant's capture plan for
 // target, resume, then hand off to the background shipper. The upstream
@@ -404,15 +374,21 @@ func (m *Core) onStoreAck(from transport.NodeID, msg transport.Message) {
 	}
 }
 
-// ForceFull implements Manager.
+// ForceFull makes the next checkpoint a full snapshot regardless of the
+// incremental cadence — the rebase a standby-side store requests after
+// reporting a broken delta chain.
 func (m *Core) ForceFull() {
 	m.mu.Lock()
 	m.fullNext = true
 	m.mu.Unlock()
 }
 
-// Pause implements Manager. Taking capMu waits out any in-flight capture,
-// so when Pause returns no manager capture is running or will run.
+// Pause suspends checkpointing. A live rescaling pauses the donor's
+// manager while it drives its own CaptureFull/CaptureDelta chain over the
+// same runtime — an interleaved manager capture would reset the runtime's
+// per-PE delta tracking and silently corrupt both chains. Taking capMu
+// waits out any in-flight capture, so when Pause returns no manager
+// capture is running or will run.
 func (m *Core) Pause() {
 	m.capMu.Lock()
 	defer m.capMu.Unlock()
@@ -421,7 +397,9 @@ func (m *Core) Pause() {
 	m.mu.Unlock()
 }
 
-// Resume implements Manager: checkpointing restarts with a full snapshot.
+// Resume re-enables checkpointing and forces the next checkpoint full,
+// re-basing the manager's own delta chain past whatever the pause
+// interleaved.
 func (m *Core) Resume() {
 	m.mu.Lock()
 	m.paused = false
@@ -474,7 +452,8 @@ type ManagerStats struct {
 	DeltaRatio float64 `json:"delta_ratio"`
 }
 
-// Stats implements Manager: checkpoint counts, pending store acks,
+// Stats captures the manager's activity for the metrics registry:
+// checkpoint counts, pending store acks,
 // pause/encode/ship timings and full-vs-delta shipped volume.
 func (m *Core) Stats() ManagerStats {
 	m.mu.Lock()

@@ -261,7 +261,7 @@ func (s *Store) Fold(from transport.NodeID, msg transport.Message) {
 		} else {
 			units = snap.ElementUnits()
 		}
-		if err := s.catalog.Put(s.catKey, msg.Seq, units, msg.State); err != nil {
+		if err := s.catalog.put(s.catKey, msg.Seq, units, msg.State); err != nil {
 			s.mu.Lock()
 			s.linked = false
 			s.mu.Unlock()
@@ -322,13 +322,6 @@ func (s *Store) SetOnChainBreak(fn func()) {
 	s.mu.Unlock()
 }
 
-// Stored returns the number of checkpoints acknowledged.
-func (s *Store) Stored() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stored
-}
-
 // StoreStats is a JSON-marshalable view of a checkpoint store, exported
 // through the metrics registry.
 type StoreStats struct {
@@ -369,7 +362,7 @@ func (s *Store) Stats() StoreStats {
 	}
 	s.mu.Unlock()
 	if s.catalog != nil {
-		ctr := s.catalog.Counters(s.catKey)
+		ctr := s.catalog.counters(s.catKey)
 		st.Persisted = ctr.Persisted
 		st.PersistErrors = ctr.PersistErrs
 		st.GCRemoved = ctr.GCRemoved

@@ -93,9 +93,9 @@ func (r *traceRig) feedSettled(t *testing.T, from, to uint64) {
 // constructors that return a type per variant — the code their literals
 // were recorded on.
 var (
-	sweeping    = func(cfg Config) Manager { return NewSweeping(cfg) }
-	synchronous = func(cfg Config) Manager { return NewSynchronous(cfg) }
-	individual  = func(cfg Config) Manager { return NewIndividual(cfg) }
+	sweeping    = func(cfg Config) *Core { return NewSweeping(cfg) }
+	synchronous = func(cfg Config) *Core { return NewSynchronous(cfg) }
+	individual  = func(cfg Config) *Core { return NewIndividual(cfg) }
 )
 
 // TestManagerTraceCharacterisation pins, for every variant and mode, the
@@ -110,7 +110,7 @@ var (
 func TestManagerTraceCharacterisation(t *testing.T) {
 	cases := []struct {
 		name    string
-		mk      func(Config) Manager
+		mk      func(Config) *Core
 		rebase  int
 		partial bool
 		shipped []string

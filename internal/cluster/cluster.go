@@ -17,8 +17,6 @@ import (
 
 // Config configures a cluster.
 type Config struct {
-	// Clock is the shared time source; nil selects the wall clock.
-	Clock clock.Clock
 	// Latency is the one-way network latency between machines (the paper's
 	// testbed is a 1 Gbps LAN; 200 µs is the default here).
 	Latency time.Duration
@@ -27,9 +25,9 @@ type Config struct {
 // Cluster owns the network and machines of one experiment.
 type Cluster struct {
 	cfg        Config
+	clk        clock.Clock
 	net        *transport.Mem
 	machines   map[string]*machine.Machine
-	order      []string
 	responders map[string]*detect.Responder
 	domains    map[string]string
 
@@ -43,15 +41,14 @@ type Cluster struct {
 
 // New creates an empty cluster.
 func New(cfg Config) *Cluster {
-	if cfg.Clock == nil {
-		cfg.Clock = clock.New()
-	}
 	if cfg.Latency == 0 {
 		cfg.Latency = 200 * time.Microsecond
 	}
+	clk := clock.New()
 	return &Cluster{
 		cfg:        cfg,
-		net:        transport.NewMem(transport.MemConfig{Clock: cfg.Clock, Latency: cfg.Latency}),
+		clk:        clk,
+		net:        transport.NewMem(transport.MemConfig{Clock: clk, Latency: cfg.Latency}),
 		machines:   make(map[string]*machine.Machine),
 		responders: make(map[string]*detect.Responder),
 		domains:    make(map[string]string),
@@ -59,27 +56,27 @@ func New(cfg Config) *Cluster {
 	}
 }
 
-// Clock returns the cluster's time source.
-func (c *Cluster) Clock() clock.Clock { return c.cfg.Clock }
+// Clock returns the cluster's time source, the wall clock.
+func (c *Cluster) Clock() clock.Clock { return c.clk }
 
 // Network returns the cluster's network, for traffic statistics.
 func (c *Cluster) Network() *transport.Mem { return c.net }
 
-// AddMachine registers a machine named id with a heartbeat responder, in a
+// addMachine registers a machine named id with a heartbeat responder, in a
 // fault domain of its own (anti-affinity then degenerates to "different
 // machine").
-func (c *Cluster) AddMachine(id string) (*machine.Machine, error) {
+func (c *Cluster) addMachine(id string) (*machine.Machine, error) {
 	return c.AddMachineIn(id, id)
 }
 
-// AddMachineIn is AddMachine with an explicit fault-domain label (a rack,
+// AddMachineIn is addMachine with an explicit fault-domain label (a rack,
 // a power feed — whatever fails together). If a scheduler is bound, the
 // machine is admitted as a schedulable member.
 func (c *Cluster) AddMachineIn(id, domain string) (*machine.Machine, error) {
 	if _, ok := c.machines[id]; ok {
 		return nil, fmt.Errorf("cluster: machine %q exists", id)
 	}
-	m, err := machine.New(id, c.cfg.Clock, c.net)
+	m, err := machine.New(id, c.clk, c.net)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +84,6 @@ func (c *Cluster) AddMachineIn(id, domain string) (*machine.Machine, error) {
 		domain = id
 	}
 	c.machines[id] = m
-	c.order = append(c.order, id)
 	c.domains[id] = domain
 	c.responders[id] = detect.NewResponder(m, detect.DefaultReplyCost)
 	if c.sched != nil {
@@ -99,9 +95,9 @@ func (c *Cluster) AddMachineIn(id, domain string) (*machine.Machine, error) {
 	return m, nil
 }
 
-// MustAddMachine is AddMachine panicking on error, for experiment setup.
+// MustAddMachine is addMachine panicking on error, for experiment setup.
 func (c *Cluster) MustAddMachine(id string) *machine.Machine {
-	m, err := c.AddMachine(id)
+	m, err := c.addMachine(id)
 	if err != nil {
 		panic(err)
 	}
@@ -123,15 +119,6 @@ func (c *Cluster) Machine(id string) *machine.Machine { return c.machines[id] }
 // Domain returns the fault-domain label of machine id ("" if unknown).
 func (c *Cluster) Domain(id string) string { return c.domains[id] }
 
-// Machines returns all machines in creation order.
-func (c *Cluster) Machines() []*machine.Machine {
-	out := make([]*machine.Machine, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.machines[id])
-	}
-	return out
-}
-
 // BindScheduler attaches a placement scheduler: every machine added from
 // now on is admitted as a schedulable member with capacity subjob-copy
 // slots, and CrashMachine/RecoverMachine/RemoveMachine forward membership
@@ -141,9 +128,6 @@ func (c *Cluster) BindScheduler(s *sched.Scheduler, capacity int) {
 	c.sched = s
 	c.schedCap = capacity
 }
-
-// Scheduler returns the bound scheduler, or nil.
-func (c *Cluster) Scheduler() *sched.Scheduler { return c.sched }
 
 // RemoveMachine deregisters machine id: its heartbeat responder is closed,
 // its endpoint released (freeing the id for reuse), and — when it is a
@@ -160,12 +144,6 @@ func (c *Cluster) RemoveMachine(id string) error {
 	delete(c.responders, id)
 	delete(c.machines, id)
 	delete(c.domains, id)
-	for i, o := range c.order {
-		if o == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
 	if c.sched != nil && c.members[id] {
 		delete(c.members, id)
 		if err := c.sched.MemberDown(id); err != nil {

@@ -14,14 +14,14 @@ import (
 func TestAddMachineAndLookup(t *testing.T) {
 	cl := New(Config{})
 	defer cl.Close()
-	m, err := cl.AddMachine("a")
+	m, err := cl.addMachine("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cl.Machine("a") != m || cl.Machine("zzz") != nil {
 		t.Fatal("lookup broken")
 	}
-	if _, err := cl.AddMachine("a"); err == nil {
+	if _, err := cl.addMachine("a"); err == nil {
 		t.Fatal("duplicate machine accepted")
 	}
 	cl.MustAddMachine("b")
@@ -304,7 +304,7 @@ func TestRemoveMachineFreesID(t *testing.T) {
 		t.Fatal("double removal accepted")
 	}
 	// The id is free for reuse, and Close stays safe afterwards.
-	if _, err := cl.AddMachine("a"); err != nil {
+	if _, err := cl.addMachine("a"); err != nil {
 		t.Fatalf("re-adding removed id: %v", err)
 	}
 	if err := cl.RemoveMachine("a"); err != nil {

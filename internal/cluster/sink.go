@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -31,8 +32,6 @@ type SinkConfig struct {
 	// cadence seeds the sweeping checkpoint cascade, so it defaults to the
 	// job's checkpoint interval.
 	AckInterval time.Duration
-	// Delays receives one sample per delivered element; nil allocates one.
-	Delays *metrics.DelayStats
 	// TrackIDs retains a count per delivered element ID for exactly-once
 	// verification in tests (costs memory; off for long benchmarks).
 	TrackIDs bool
@@ -43,6 +42,8 @@ type SinkConfig struct {
 type Sink struct {
 	cfg SinkConfig
 	in  *queue.Input
+	// delays receives one sample per delivered element.
+	delays *metrics.DelayStats
 
 	mu       sync.Mutex
 	senders  map[string]map[transport.NodeID]time.Time
@@ -75,12 +76,10 @@ func NewSink(cfg SinkConfig) *Sink {
 	if cfg.AckInterval <= 0 {
 		cfg.AckInterval = 10 * time.Millisecond
 	}
-	if cfg.Delays == nil {
-		cfg.Delays = &metrics.DelayStats{}
-	}
 	s := &Sink{
 		cfg:        cfg,
 		in:         queue.NewInput(cfg.InStreams...),
+		delays:     &metrics.DelayStats{},
 		senders:    make(map[string]map[transport.NodeID]time.Time),
 		consumed:   make(map[string]uint64),
 		ackStreams: make(map[string]string, len(cfg.InStreams)),
@@ -125,6 +124,20 @@ func (s *Sink) AddInput(logical, owner string) {
 	s.registerInput(logical)
 }
 
+// RemoveInput stops consuming logical, undoing AddInput: a live rescale
+// that fails after attaching its new instance's output stream detaches it
+// again.
+func (s *Sink) RemoveInput(logical string) {
+	s.mu.Lock()
+	s.cfg.InStreams = slices.DeleteFunc(slices.Clone(s.cfg.InStreams), func(st string) bool { return st == logical })
+	delete(s.cfg.Owners, logical)
+	delete(s.ackStreams, logical)
+	delete(s.senders, logical)
+	delete(s.consumed, logical)
+	s.mu.Unlock()
+	s.cfg.Machine.UnregisterStream(subjob.DataStream(s.cfg.ID, logical))
+}
+
 // Node returns the sink machine's node ID.
 func (s *Sink) Node() transport.NodeID { return s.cfg.Machine.ID() }
 
@@ -135,7 +148,7 @@ func (s *Sink) ID() string { return s.cfg.ID }
 func (s *Sink) In() *queue.Input { return s.in }
 
 // Delays returns the sink's delay statistics.
-func (s *Sink) Delays() *metrics.DelayStats { return s.cfg.Delays }
+func (s *Sink) Delays() *metrics.DelayStats { return s.delays }
 
 // Received returns the number of elements delivered.
 func (s *Sink) Received() uint64 {
@@ -163,7 +176,7 @@ func (s *Sink) Stats() SinkStats {
 		InputLen:  s.in.Len(),
 		InputDups: dups,
 		InputGaps: gaps,
-		Delays:    s.cfg.Delays.Snapshot(),
+		Delays:    s.delays.Snapshot(),
 	}
 }
 
@@ -281,7 +294,7 @@ func (s *Sink) deliver(ins []queue.In) {
 	}
 	s.mu.Unlock()
 	for _, in := range ins {
-		s.cfg.Delays.Add(time.Duration(nowNanos - in.Elem.Origin))
+		s.delays.Add(time.Duration(nowNanos - in.Elem.Origin))
 		if onArrival != nil {
 			onArrival(in.Elem, now)
 		}

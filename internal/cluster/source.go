@@ -34,8 +34,6 @@ type SourceConfig struct {
 	// off-periods, keeping the same average. Bursty input is what makes the
 	// benchmark detector fire falsely.
 	BurstOn, BurstOff time.Duration
-	// Payload derives an element's payload from its ID; nil keeps the ID.
-	Payload func(id uint64) int64
 }
 
 // Source emits a deterministic element stream through an output queue, so
@@ -58,9 +56,6 @@ func NewSource(cfg SourceConfig) *Source {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 5 * time.Millisecond
 	}
-	if cfg.Payload == nil {
-		cfg.Payload = func(id uint64) int64 { return int64(id) }
-	}
 	s := &Source{
 		cfg:  cfg,
 		stop: make(chan struct{}),
@@ -82,17 +77,6 @@ func NewSource(cfg SourceConfig) *Source {
 
 // Out returns the source's output queue, for subscription wiring.
 func (s *Source) Out() *queue.Output { return s.out }
-
-// Node returns the source machine's node ID.
-func (s *Source) Node() transport.NodeID { return s.cfg.Machine.ID() }
-
-// AckTarget returns the target downstream copies should ack to.
-func (s *Source) AckTarget() subjob.AckTarget {
-	return subjob.AckTarget{
-		Node:   s.cfg.Machine.ID(),
-		Stream: subjob.AckStream(SourceOwner, s.cfg.Stream),
-	}
-}
 
 // Emitted returns the number of elements emitted so far.
 func (s *Source) Emitted() uint64 {
@@ -194,7 +178,7 @@ func (s *Source) emit(epoch time.Time, dt time.Duration) {
 			ID:      s.nextID,
 			Key:     s.nextID, // uniform over a keyed-parallel first stage
 			Origin:  now,
-			Payload: s.cfg.Payload(s.nextID),
+			Payload: int64(s.nextID),
 		}
 	}
 	s.mu.Unlock()

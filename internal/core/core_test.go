@@ -36,11 +36,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.MissThreshold != 1 {
 		t.Fatalf("hybrid default miss threshold %d, want 1 (first-miss trigger)", o.MissThreshold)
 	}
-	if o.HeartbeatInterval <= 0 || o.CheckpointInterval <= 0 || o.ResumeCost <= 0 {
+	if o.HeartbeatInterval <= 0 || o.CheckpointInterval <= 0 || resumeCost <= 0 {
 		t.Fatal("intervals not defaulted")
 	}
-	if o.ResumeCost*3 > o.DeployCost {
-		t.Fatalf("resume (%v) should be about a quarter of deploy (%v)", o.ResumeCost, o.DeployCost)
+	if resumeCost*3 > deployCost {
+		t.Fatalf("resume (%v) should be about a quarter of deploy (%v)", resumeCost, deployCost)
 	}
 	keep := Options{MissThreshold: 3, HeartbeatInterval: time.Second}.withDefaults()
 	if keep.MissThreshold != 3 || keep.HeartbeatInterval != time.Second {
@@ -130,7 +130,7 @@ func expectAck(t *testing.T, acks chan uint64, want uint64) {
 
 func TestStandbyStoreAppliesWhileSuspended(t *testing.T) {
 	r := newStandbyRig(t)
-	store := newStandbyStore(r.sec, nil)
+	store := newStandbyStore(r.sec)
 	defer store.Close()
 
 	acks := r.sendCheckpoint(t, 1, 42)
@@ -149,7 +149,7 @@ func TestStandbyStoreAppliesWhileSuspended(t *testing.T) {
 
 func TestStandbyStoreSkipsWhileActive(t *testing.T) {
 	r := newStandbyRig(t)
-	store := newStandbyStore(r.sec, nil)
+	store := newStandbyStore(r.sec)
 	defer store.Close()
 	r.sec.Resume() // activated: live state supersedes checkpoints
 
@@ -169,7 +169,7 @@ func TestStandbyStoreSkipsWhileActive(t *testing.T) {
 
 func TestStandbyStoreIgnoresGarbage(t *testing.T) {
 	r := newStandbyRig(t)
-	store := newStandbyStore(r.sec, nil)
+	store := newStandbyStore(r.sec)
 	defer store.Close()
 	r.priM.Send(r.secM.ID(), transport.Message{
 		Kind:   transport.KindCheckpoint,

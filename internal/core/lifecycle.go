@@ -257,13 +257,6 @@ type LifecycleConfig struct {
 	Wiring Wiring
 	// Policy is the HA mode.
 	Policy StandbyPolicy
-	// Catalog is the durable checkpoint catalog used by RestoreFromCatalog
-	// and, independently, by policies whose options carry the same catalog
-	// for persist-before-ack storage.
-	Catalog *checkpoint.Catalog
-	// RestoreFromCatalog rewinds the primary to the catalog's head chain
-	// before the policy arms — the cold-restart path. Requires Catalog.
-	RestoreFromCatalog bool
 	// Placer, when non-nil, is the cluster scheduler the lifecycle asks for
 	// replacement standby hosts: after a fail-stop promotion exhausts the
 	// static spare, and from the periodic re-arm health check. Nil keeps
@@ -298,7 +291,7 @@ type Lifecycle struct {
 	secondaryM  *machine.Machine // current standby machine (migrations/promotions move it)
 	standby     *StandbyStore
 	store       *checkpoint.Store
-	cm          checkpoint.Manager
+	cm          *checkpoint.Core
 	ackers      []*checkpoint.Acker
 	det         *detect.Heartbeat
 	rsOn        *machine.Machine // machine holding the read-state ack handler
@@ -309,7 +302,6 @@ type Lifecycle struct {
 	promotions  []PromoteEvent
 	rearms      []RearmEvent
 	chainBreaks int
-	restoredSeq uint64 // catalog sequence a cold restart restored, 0 otherwise
 	started     bool
 	released    bool // the placer has been handed the subjob's slots back
 
@@ -360,12 +352,6 @@ func (lc *Lifecycle) Start() error {
 		lc.mu.Unlock()
 	}
 
-	if lc.cfg.RestoreFromCatalog {
-		if err := lc.restoreFromCatalog(); err != nil {
-			unstart()
-			return err
-		}
-	}
 	if err := lc.pol.Arm(lc); err != nil {
 		unstart()
 		return err
@@ -507,55 +493,6 @@ func (lc *Lifecycle) startDetector(monitor *machine.Machine, target transport.No
 	lc.mu.Unlock()
 	det.Start()
 }
-
-// restoreFromCatalog is the cold-restart path: fold the catalog's head
-// chain into a snapshot and rewind the primary to it before the policy
-// arms. Restore aligns the input queue's dedup floor with the restored
-// consumed positions, so the upstream resync that follows — a forced
-// replay of everything past the last acknowledgment — is absorbed
-// exactly once: elements the snapshot already covers are deduplicated,
-// elements lost with the dead process are reprocessed.
-func (lc *Lifecycle) restoreFromCatalog() error {
-	if lc.cfg.Catalog == nil {
-		return fmt.Errorf("core: RestoreFromCatalog without a catalog")
-	}
-	snap, seq, err := lc.cfg.Catalog.Restore(lc.cfg.Spec.ID, 0)
-	if err != nil {
-		return err
-	}
-	pri := lc.PrimaryRuntime()
-	var rerr error
-	pri.WithPaused(func() { rerr = pri.Restore(snap) })
-	if rerr != nil {
-		return rerr
-	}
-	// The restored output queue holds what downstream had not acknowledged
-	// at checkpoint time; push it again rather than waiting for a timeout.
-	pri.Out().RetransmitAll()
-	if ups := lc.cfg.Wiring.UpstreamOutputs; ups != nil {
-		for _, up := range ups() {
-			up.Resync(pri.Node())
-		}
-	}
-	lc.mu.Lock()
-	lc.restoredSeq = seq
-	lc.mu.Unlock()
-	return nil
-}
-
-// seqBase is the checkpoint sequence managers continue from: the catalog
-// sequence a cold restart restored, zero on a fresh start. Policies pass
-// it to every Sweeping manager they create so new checkpoints extend the
-// cataloged chain instead of colliding with it.
-func (lc *Lifecycle) seqBase() uint64 {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.restoredSeq
-}
-
-// RestoredSeq returns the catalog sequence the lifecycle restored at
-// start, or 0 when it started fresh.
-func (lc *Lifecycle) RestoredSeq() uint64 { return lc.seqBase() }
 
 // upPart returns the partition-instance index this subjob's copies consume
 // from upstream outputs: the configured instance index for a keyed-parallel
@@ -801,7 +738,7 @@ func (lc *Lifecycle) Detector() *detect.Heartbeat {
 }
 
 // Checkpoint returns the current checkpoint manager, or nil.
-func (lc *Lifecycle) Checkpoint() checkpoint.Manager {
+func (lc *Lifecycle) Checkpoint() *checkpoint.Core {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	return lc.cm

@@ -392,17 +392,17 @@ func TestLifecycleStartAndStopIdempotent(t *testing.T) {
 // no pre-deployment, no suspended copy and no fail-stop promotion.
 func TestPassivePresetOfHybrid(t *testing.T) {
 	pp := NewPassivePolicy(PassiveOptions{})
-	o := pp.Options()
+	o := pp.opts
 	if o.MissThreshold != 3 {
 		t.Fatalf("conventional PS threshold %d, want 3", o.MissThreshold)
 	}
-	if o.HeartbeatInterval <= 0 || o.CheckpointInterval <= 0 || o.DeployCost <= 0 {
+	if o.HeartbeatInterval <= 0 || o.CheckpointInterval <= 0 || deployCost <= 0 {
 		t.Fatal("defaults missing")
 	}
 	if !o.NoPreDeploy || !o.NoEarlyConnection {
 		t.Fatalf("preset keeps hybrid optimisations: %+v", o)
 	}
-	if keep := NewPassivePolicy(PassiveOptions{MissThreshold: 1}).Options(); keep.MissThreshold != 1 {
+	if keep := NewPassivePolicy(PassiveOptions{MissThreshold: 1}).opts; keep.MissThreshold != 1 {
 		t.Fatal("explicit threshold overridden")
 	}
 	if pp.Mode() != "passive" {
@@ -457,7 +457,7 @@ func TestPolicyContractFiveModes(t *testing.T) {
 }
 
 // TestErrorBudgetZero pins the degeneration predicate: only a positive
-// element bound or staleness bound makes a budget non-zero.
+// element bound makes a budget non-zero.
 func TestErrorBudgetZero(t *testing.T) {
 	cases := []struct {
 		b    ErrorBudget
@@ -466,12 +466,38 @@ func TestErrorBudgetZero(t *testing.T) {
 		{ErrorBudget{}, true},
 		{ErrorBudget{MaxLostElements: -1}, true},
 		{ErrorBudget{MaxLostElements: 1}, false},
-		{ErrorBudget{MaxStaleness: time.Second}, false},
-		{ErrorBudget{MaxLostElements: 10, MaxStaleness: time.Second}, false},
 	}
 	for _, c := range cases {
 		if got := c.b.Zero(); got != c.zero {
 			t.Fatalf("budget %+v Zero() = %v, want %v", c.b, got, c.zero)
 		}
+	}
+}
+
+// TestCheckpointAfterStart pins what Checkpoint returns once Start has
+// armed each of the five policies: no manager for none and active, which
+// keep no checkpoints, and the primary's sweeping manager for passive,
+// hybrid and approx.
+func TestCheckpointAfterStart(t *testing.T) {
+	opts := Options{}
+	for _, c := range []struct {
+		pol  StandbyPolicy
+		want bool
+	}{
+		{NewNonePolicy(0), false},
+		{NewActivePolicy(0), false},
+		{NewPassivePolicy(PassiveOptions{}), true},
+		{NewHybridPolicy(opts), true},
+		{NewApproxPolicy(opts, ErrorBudget{MaxLostElements: 100}), true},
+	} {
+		t.Run(c.pol.Mode(), func(t *testing.T) {
+			lc := newPolicyTrace(t, c.pol).lc
+			if err := lc.Start(); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			if got := lc.Checkpoint() != nil; got != c.want {
+				t.Fatalf("Checkpoint() != nil is %v, want %v", got, c.want)
+			}
+		})
 	}
 }

@@ -63,13 +63,6 @@ type Options struct {
 	// to RebaseEvery-1 delta checkpoints ship between full snapshots. 0
 	// keeps the classic full-snapshot-every-sweep protocol.
 	CheckpointRebaseEvery int
-	// ResumeCost is the CPU work to resume the pre-deployed copy (the
-	// paper measures resume at about a quarter of a full redeployment).
-	ResumeCost time.Duration
-	// DeployCost is the CPU work to deploy a copy on demand; paid at
-	// switchover only under NoPreDeploy (default 20 ms, standing in for
-	// the paper's ~200 ms redeployment).
-	DeployCost time.Duration
 	// FailStopAfter promotes the standby to primary if the failure
 	// persists this long after switchover; zero disables promotion.
 	FailStopAfter time.Duration
@@ -90,11 +83,6 @@ type Options struct {
 	// refreshing memory (only meaningful with NoPreDeploy or for ablation
 	// of the in-memory refresh; adds write latency to every checkpoint).
 	DiskStore bool
-	// Catalog, when non-nil, makes the standby durable: every checkpoint
-	// the standby (or its NoPreDeploy store) accepts is persisted through
-	// the catalog before it is acknowledged, leaving a sequence-chained
-	// history a cold restart can restore from.
-	Catalog *checkpoint.Catalog
 }
 
 func (o Options) withDefaults() Options {
@@ -107,18 +95,23 @@ func (o Options) withDefaults() Options {
 	if o.CheckpointInterval <= 0 {
 		o.CheckpointInterval = 10 * time.Millisecond
 	}
-	if o.ResumeCost <= 0 {
-		o.ResumeCost = 5 * time.Millisecond
-	}
-	if o.DeployCost <= 0 {
-		o.DeployCost = 20 * time.Millisecond
-	}
 	return o
 }
 
-// connectCost is the CPU work per connection established on demand: paid
-// at switchover under NoEarlyConnection, and at every passive recovery.
-const connectCost = 2 * time.Millisecond
+// The CPU work of the deployment steps, at the experiments' one-fifth
+// timescale.
+const (
+	// resumeCost resumes the pre-deployed copy (the paper measures resume
+	// at about a quarter of a full redeployment).
+	resumeCost = 5 * time.Millisecond
+	// deployCost deploys a copy: up front for a pre-deployed standby, on
+	// demand at switchover under NoPreDeploy and at every passive recovery
+	// (standing in for the paper's ~200 ms redeployment).
+	deployCost = 20 * time.Millisecond
+	// connectCost establishes one connection on demand: at switchover
+	// under NoEarlyConnection, and at every passive recovery.
+	connectCost = 2 * time.Millisecond
+)
 
 // ErrorBudget bounds the divergence the approx standby policy may admit
 // at failover. A budgeted failover promotes the standby from its last
@@ -129,15 +122,11 @@ type ErrorBudget struct {
 	// MaxLostElements bounds how many in-flight elements a budgeted
 	// failover may skip instead of replaying.
 	MaxLostElements int
-	// MaxStaleness bounds the age of the standby's newest applied
-	// checkpoint at failover; staler state forces an exact replay. Zero
-	// leaves staleness unbounded.
-	MaxStaleness time.Duration
 }
 
 // Zero reports whether the budget admits no loss at all, in which case
 // the approx policy must behave exactly like hybrid.
-func (b ErrorBudget) Zero() bool { return b.MaxLostElements <= 0 && b.MaxStaleness <= 0 }
+func (b ErrorBudget) Zero() bool { return b.MaxLostElements <= 0 }
 
 // PassiveOptions tunes conventional passive standby. They are the Options
 // fields the passive preset of the hybrid policy leaves free
@@ -153,12 +142,6 @@ type PassiveOptions struct {
 	CheckpointInterval time.Duration
 	// CheckpointCosts models checkpoint CPU cost.
 	CheckpointCosts checkpoint.Costs
-	// DeployCost is the CPU work of deploying the recovery copy on demand
-	// (default 20 ms, standing in for the paper's ~200 ms redeployment).
-	DeployCost time.Duration
-	// Catalog, when non-nil, persists every stored checkpoint durably
-	// before it is acknowledged (see Options.Catalog).
-	Catalog *checkpoint.Catalog
 }
 
 // SwitchEvent records one switchover: from the detector's declaration to

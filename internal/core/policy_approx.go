@@ -12,11 +12,10 @@ import (
 type DivergenceStats struct {
 	Mode string `json:"mode"`
 	// Budget echoes the configured bound.
-	BudgetMaxLost        int     `json:"budget_max_lost_elements"`
-	BudgetMaxStalenessMS float64 `json:"budget_max_staleness_ms"`
+	BudgetMaxLost int `json:"budget_max_lost_elements"`
 	// Failovers counts all failovers the policy handled; BudgetedSkips of
 	// them skipped the replay within budget, ExactReplays fell back to the
-	// exact hybrid path (estimate over budget or standby too stale).
+	// exact hybrid path (estimate over budget or standby never refreshed).
 	Failovers     int `json:"failovers"`
 	BudgetedSkips int `json:"budgeted_skips"`
 	ExactReplays  int `json:"exact_replays"`
@@ -35,12 +34,6 @@ type DivergenceStats struct {
 	// WithinBudget reports whether the measured loss of the last failover
 	// stayed inside the budget (exact replays trivially do).
 	WithinBudget bool `json:"within_budget"`
-}
-
-// DivergenceReporter is implemented by policies that admit bounded
-// divergence; the pipeline exports the stats as a metrics source.
-type DivergenceReporter interface {
-	Divergence() DivergenceStats
 }
 
 // ApproxPolicy is the bounded-error variant of the hybrid method: the
@@ -79,10 +72,9 @@ func NewApproxPolicy(o Options, b ErrorBudget) *ApproxPolicy {
 		HybridPolicy: hp,
 		budget:       b,
 		div: DivergenceStats{
-			Mode:                 "approx",
-			BudgetMaxLost:        b.MaxLostElements,
-			BudgetMaxStalenessMS: float64(b.MaxStaleness) / 1e6,
-			WithinBudget:         true,
+			Mode:          "approx",
+			BudgetMaxLost: b.MaxLostElements,
+			WithinBudget:  true,
 		},
 	}
 }
@@ -123,11 +115,11 @@ func (ap *ApproxPolicy) Promote(lc *Lifecycle, at time.Time) State {
 // Failover implements StandbyPolicy. With a zero budget it is hybrid
 // failover verbatim. Otherwise the standby — already holding its last
 // partial refresh, output sequence fast-forwarded to match the primary's
-// — is promoted without draining anything: when the estimated replay
-// backlog and the standby's staleness both fit the budget, the upstream
-// replay is skipped (each queue's dedup floor jumps past the retained
-// backlog, admitting bounded loss); when either bound is exceeded, the
-// exact hybrid replay runs instead.
+// — is promoted without draining anything: when a checkpoint has refreshed
+// the standby and the estimated replay backlog fits the budget, the
+// upstream replay is skipped (each queue's dedup floor jumps past the
+// retained backlog, admitting bounded loss); otherwise the exact hybrid
+// replay runs instead.
 func (ap *ApproxPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	if ap.budget.Zero() {
 		return ap.HybridPolicy.Failover(lc, detectedAt)
@@ -138,7 +130,7 @@ func (ap *ApproxPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 
 	// Estimate before resuming: the pending replay per upstream queue is
 	// what activation would retransmit, and the standby store's last
-	// refresh bounds how stale the promoted state is.
+	// refresh, measured for the stats, says how stale the promoted state is.
 	ups := lc.cfg.Wiring.UpstreamOutputs()
 	pending := 0
 	for _, up := range ups {
@@ -147,20 +139,16 @@ func (ap *ApproxPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	staleness := time.Duration(0)
 	refreshed := false
 	if st := lc.StandbyStoreRef(); st != nil {
-		if lr := st.LastRefresh(); !lr.IsZero() {
+		if lr := st.lastRefresh(); !lr.IsZero() {
 			staleness = lc.clk.Now().Sub(lr)
 			refreshed = true
 		}
 	}
-	within := pending <= ap.budget.MaxLostElements &&
-		(ap.budget.MaxStaleness <= 0 || (refreshed && staleness <= ap.budget.MaxStaleness))
-	if !refreshed {
-		// Nothing ever refreshed the standby: promoting it would replay
-		// from zero state, so only the exact path is sound.
-		within = false
-	}
+	// When nothing ever refreshed the standby, promoting it would replay
+	// from zero state, so only the exact path is sound.
+	within := refreshed && pending <= ap.budget.MaxLostElements
 
-	secM.CPU().Execute(ap.opts.ResumeCost)
+	secM.CPU().Execute(resumeCost)
 	sec.Resume()
 
 	lost := 0
@@ -216,7 +204,8 @@ func (ap *ApproxPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	return SwitchedOver
 }
 
-// Divergence implements DivergenceReporter.
+// Divergence returns the divergence admitted so far, against the budget;
+// the pipeline exports it as a metrics source.
 func (ap *ApproxPolicy) Divergence() DivergenceStats {
 	ap.mu.Lock()
 	defer ap.mu.Unlock()

@@ -54,17 +54,12 @@ func NewPassivePolicy(o PassiveOptions) *HybridPolicy {
 		MissThreshold:      o.MissThreshold,
 		CheckpointInterval: o.CheckpointInterval,
 		CheckpointCosts:    o.CheckpointCosts,
-		DeployCost:         o.DeployCost,
-		Catalog:            o.Catalog,
 		NoPreDeploy:        true,
 		NoEarlyConnection:  true,
 	})
 	hp.migrate = true
 	return hp
 }
-
-// Options returns the policy's resolved options.
-func (hp *HybridPolicy) Options() Options { return hp.opts }
 
 // Mode implements StandbyPolicy.
 func (hp *HybridPolicy) Mode() string {
@@ -131,13 +126,13 @@ func (hp *HybridPolicy) Arm(lc *Lifecycle) error {
 		}
 		// Pre-deployment pays the deployment cost up front, off the
 		// critical path.
-		secM.CPU().Execute(hp.opts.DeployCost)
+		secM.CPU().Execute(deployCost)
 		// While active, the standby acknowledges as often as the primary
 		// checkpoints.
 		acker := checkpoint.NewAcker(sec, lc.clk, hp.opts.CheckpointInterval)
 		lc.mu.Lock()
 		lc.secondary = sec
-		lc.standby = newStandbyStore(sec, hp.opts.Catalog)
+		lc.standby = newStandbyStore(sec)
 		lc.ackers = append(lc.ackers, acker)
 		lc.mu.Unlock()
 		acker.Start()
@@ -149,7 +144,6 @@ func (hp *HybridPolicy) Arm(lc *Lifecycle) error {
 		lc.mu.Lock()
 		lc.store = checkpoint.NewStore(secM, spec.ID, &checkpoint.Image{}, checkpoint.StoreOptions{
 			Backend: backend,
-			Catalog: hp.opts.Catalog,
 		})
 		lc.mu.Unlock()
 	}
@@ -162,7 +156,6 @@ func (hp *HybridPolicy) Arm(lc *Lifecycle) error {
 		Costs:       hp.opts.CheckpointCosts,
 		RebaseEvery: hp.opts.CheckpointRebaseEvery,
 		Partial:     hp.partial,
-		SeqBase:     lc.seqBase(),
 	})
 	lc.mu.Lock()
 	lc.cm = cm
@@ -200,7 +193,7 @@ func (hp *HybridPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	if !hp.migrate {
 		// Resuming the suspended copy is just resetting the processing-loop
 		// flags, about a quarter of a deployment.
-		secM.CPU().Execute(hp.opts.ResumeCost)
+		secM.CPU().Execute(resumeCost)
 		sec.Resume()
 	}
 
@@ -255,7 +248,7 @@ func (hp *HybridPolicy) deploy(lc *Lifecycle) *subjob.Runtime {
 		lc.transient(Migrating)
 	}
 
-	target.CPU().Execute(hp.opts.DeployCost)
+	target.CPU().Execute(deployCost)
 	rt, err := subjob.New(lc.cfg.Spec, target, !hp.migrate)
 	if err != nil {
 		return nil
@@ -336,7 +329,7 @@ func (hp *HybridPolicy) reprotect(lc *Lifecycle, rt *subjob.Runtime, host *machi
 // until then the old copy may limp along, and the downstream deduplicates
 // whatever it still emits. It leaves every upstream queue at once, so it
 // stops gating trims, and the read-state plumbing bound to its machine goes.
-func depose(lc *Lifecycle, old *subjob.Runtime, det *detect.Heartbeat, cm checkpoint.Manager) {
+func depose(lc *Lifecycle, old *subjob.Runtime, det *detect.Heartbeat, cm *checkpoint.Core) {
 	go func() {
 		if det != nil {
 			det.Stop()

@@ -300,7 +300,7 @@ func (pt *policyTrace) row(name string) string {
 		fmt.Fprintf(&b, " | placer %s", strings.Join(pt.placer.log, " "))
 		pt.placer.log = nil
 	}
-	if dr, ok := lc.Policy().(DivergenceReporter); ok {
+	if dr, ok := lc.Policy().(*ApproxPolicy); ok {
 		d := dr.Divergence()
 		fmt.Fprintf(&b, " | div f=%d skip=%d exact=%d lost=%d within=%v",
 			d.Failovers, d.BudgetedSkips, d.ExactReplays, d.LostElements, d.WithinBudget)

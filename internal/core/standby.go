@@ -30,12 +30,11 @@ type StandbyStore struct {
 }
 
 // newStandbyStore starts a store refreshing rt, which must be the
-// suspended standby copy of its subjob, and persisting through catalog
-// when it is non-nil.
-func newStandbyStore(rt *subjob.Runtime, catalog *checkpoint.Catalog) *StandbyStore {
+// suspended standby copy of its subjob.
+func newStandbyStore(rt *subjob.Runtime) *StandbyStore {
 	sb := &standby{rt: rt}
 	return &StandbyStore{
-		Store: checkpoint.NewStore(rt.Machine(), rt.Spec().ID, sb, checkpoint.StoreOptions{Catalog: catalog}),
+		Store: checkpoint.NewStore(rt.Machine(), rt.Spec().ID, sb, checkpoint.StoreOptions{}),
 		sb:    sb,
 	}
 }
@@ -60,9 +59,9 @@ func (s *StandbyStore) PartialStats() (applied, skipped int, coldBytes uint64) {
 	return s.sb.partialApplied, s.sb.partialSkipped, s.sb.coldBytes
 }
 
-// LastRefresh returns when a checkpoint (full, delta or partial) last
+// lastRefresh returns when a checkpoint (full, delta or partial) last
 // refreshed the standby's in-memory state; the zero time if none has.
-func (s *StandbyStore) LastRefresh() time.Time {
+func (s *StandbyStore) lastRefresh() time.Time {
 	s.sb.mu.Lock()
 	defer s.sb.mu.Unlock()
 	return s.sb.lastRefresh

@@ -51,7 +51,7 @@ func newFoldRig(t *testing.T) *foldRig {
 	}
 	sec.Start()
 	t.Cleanup(sec.Stop)
-	store := newStandbyStore(sec, nil)
+	store := newStandbyStore(sec)
 	store.Close()
 	return &foldRig{from: priM.ID(), ckpt: subjob.CkptStream("j/sj"), sec: sec, store: store, state: counter().Snapshot()}
 }

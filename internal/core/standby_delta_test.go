@@ -87,7 +87,7 @@ func (h *deltaHarness) expectNoAck(t *testing.T) {
 
 func TestStandbyStoreFoldsDeltaChain(t *testing.T) {
 	h := newDeltaHarness(t)
-	store := newStandbyStore(h.sec, nil)
+	store := newStandbyStore(h.sec)
 	defer store.Close()
 
 	h.sendFull(t, 1, 42)
@@ -120,7 +120,7 @@ func TestStandbyStoreFoldsDeltaChain(t *testing.T) {
 
 func TestStandbyStoreActivePeriodBreaksChain(t *testing.T) {
 	h := newDeltaHarness(t)
-	store := newStandbyStore(h.sec, nil)
+	store := newStandbyStore(h.sec)
 	defer store.Close()
 
 	h.sendFull(t, 1, 10)

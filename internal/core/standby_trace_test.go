@@ -74,7 +74,13 @@ func newStandbyTrace(t *testing.T) *standbyTrace {
 		acks:       make(chan uint64, 8),
 		fence:      make(chan struct{}, 1),
 	}
-	st.store = newStandbyStore(r.sec, checkpoint.NewCatalog(be, checkpoint.Retention{}))
+	sb := &standby{rt: r.sec}
+	st.store = &StandbyStore{
+		Store: checkpoint.NewStore(r.sec.Machine(), r.sec.Spec().ID, sb, checkpoint.StoreOptions{
+			Catalog: checkpoint.NewCatalog(be, checkpoint.Retention{}),
+		}),
+		sb: sb,
+	}
 	st.store.Close()
 	st.store.SetOnChainBreak(func() { st.breaks++ })
 	r.priM.RegisterStream(subjob.CkptAckStream("j/sj"), func(_ transport.NodeID, msg transport.Message) {

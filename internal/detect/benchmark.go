@@ -23,20 +23,16 @@ type BenchmarkConfig struct {
 	// LoadThreshold is the utilization above which the probe is triggered
 	// (L_th in the paper).
 	LoadThreshold float64
-	// ProbeWork is the CPU work of processing the standard data set.
+	// ProbeWork is the CPU work of processing the standard data set, and
+	// so the probe's duration on an idle machine (full CPU share).
 	ProbeWork time.Duration
-	// Baseline is the probe's duration on an idle machine; zero defaults to
-	// ProbeWork (full CPU share).
-	Baseline time.Duration
-	// Factor is the multiple of Baseline beyond which a failure is declared
-	// (P_th in the paper).
+	// Factor is the multiple of ProbeWork beyond which a failure is
+	// declared (P_th in the paper).
 	Factor float64
 	// Cooldown is how long after a declaration the detector stays quiet
 	// before probing again (default 100 ms), so one excursion yields one
 	// declaration.
 	Cooldown time.Duration
-	// OnDetect is invoked from the detector goroutine on each declaration.
-	OnDetect func(at time.Time)
 }
 
 // Benchmark is the probe-based detector the paper evaluates and rejects:
@@ -60,9 +56,6 @@ type Benchmark struct {
 
 // NewBenchmark creates a benchmark detector.
 func NewBenchmark(cfg BenchmarkConfig) *Benchmark {
-	if cfg.Baseline <= 0 {
-		cfg.Baseline = cfg.ProbeWork
-	}
 	if cfg.Factor <= 0 {
 		cfg.Factor = 2
 	}
@@ -133,7 +126,7 @@ func (b *Benchmark) sample() {
 	start := b.cfg.Clock.Now()
 	b.cfg.Machine.CPU().Execute(b.cfg.ProbeWork)
 	elapsed := b.cfg.Clock.Since(start)
-	if float64(elapsed) <= float64(b.cfg.Baseline)*b.cfg.Factor {
+	if float64(elapsed) <= float64(b.cfg.ProbeWork)*b.cfg.Factor {
 		return
 	}
 	now := b.cfg.Clock.Now()
@@ -141,9 +134,6 @@ func (b *Benchmark) sample() {
 	b.lastDeclare = now
 	b.events = append(b.events, Event{Type: EventFailure, At: now})
 	b.mu.Unlock()
-	if b.cfg.OnDetect != nil {
-		b.cfg.OnDetect(now)
-	}
 }
 
 // Events returns a copy of the declared events.

@@ -32,7 +32,7 @@ type Element struct {
 	Seq     uint64
 	Payload int64
 	// Key is the partitioning key: keyed-parallel stages route an element
-	// to the instance owning KeyHash(Key)'s partition. Sources stamp it and
+	// to the instance owning keyHash(Key)'s partition. Sources stamp it and
 	// deterministic PEs must carry it through to derived outputs, so an
 	// element stays on its partition across the whole chain. Zero is a
 	// valid key.
@@ -132,10 +132,10 @@ func DeriveID(parent uint64, i int) uint64 {
 	return x
 }
 
-// KeyHash maps a partitioning key to a well-distributed 64-bit hash (the
+// keyHash maps a partitioning key to a well-distributed 64-bit hash (the
 // splitmix64 finalizer). It is a pure function of the key, so every copy of
 // every producer — and every restart — routes a key identically.
-func KeyHash(key uint64) uint64 {
+func keyHash(key uint64) uint64 {
 	x := key + 0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -153,7 +153,7 @@ func PartitionOf(key uint64, parts int) int {
 	if parts <= 1 {
 		return 0
 	}
-	return int(KeyHash(key) % uint64(parts))
+	return int(keyHash(key) % uint64(parts))
 }
 
 // String implements fmt.Stringer for debugging output.

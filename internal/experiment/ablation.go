@@ -14,8 +14,8 @@ type AblationVariant struct {
 	Options core.Options
 }
 
-// DefaultAblationVariants cover the optimizations of Section IV-B.
-func DefaultAblationVariants() []AblationVariant {
+// defaultAblationVariants cover the optimizations of Section IV-B.
+func defaultAblationVariants() []AblationVariant {
 	return []AblationVariant{
 		{Label: "full-hybrid", Options: core.Options{}},
 		{Label: "no-predeploy", Options: core.Options{NoPreDeploy: true}},
@@ -48,7 +48,7 @@ type AblationResult struct {
 func RunAblation(p Params, variants []AblationVariant, repeats int) (*AblationResult, error) {
 	p = p.withDefaults()
 	if len(variants) == 0 {
-		variants = DefaultAblationVariants()
+		variants = defaultAblationVariants()
 	}
 	if repeats <= 0 {
 		repeats = 3

@@ -148,7 +148,7 @@ func RunApprox(p Params) (*ApproxResult, error) {
 	time.Sleep(600 * time.Millisecond) // rollback + drain
 
 	g := tb.pipe.Group(0)
-	if dr, ok := g.HA.Policy().(core.DivergenceReporter); ok {
+	if dr, ok := g.HA.Policy().(*core.ApproxPolicy); ok {
 		res.Divergence = dr.Divergence()
 	}
 	res.Switchovers = g.HA.Stats().Switchovers
@@ -165,7 +165,7 @@ func RunApprox(p Params) (*ApproxResult, error) {
 
 // managerStats resolves a possibly-nil checkpoint manager (NONE and AS
 // subjobs have none) to its stats.
-func managerStats(cm checkpoint.Manager) checkpoint.ManagerStats {
+func managerStats(cm *checkpoint.Core) checkpoint.ManagerStats {
 	if cm == nil {
 		return checkpoint.ManagerStats{}
 	}

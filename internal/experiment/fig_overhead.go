@@ -44,9 +44,9 @@ type Fig06Result struct {
 // rate for every mode, so the ratios are rate-invariant.
 var Fig06Rates = []float64{4000, 6000, 8000, 10000}
 
-// DefaultFig06Configs mirror the paper's six lines (paper-scale
+// defaultFig06Configs mirror the paper's six lines (paper-scale
 // checkpoint intervals).
-func DefaultFig06Configs() []Fig06Config {
+func defaultFig06Configs() []Fig06Config {
 	return []Fig06Config{
 		{Label: "none", Mode: ha.ModeNone},
 		{Label: "as", Mode: ha.ModeActive},
@@ -66,7 +66,7 @@ func RunFig06(p Params, configs []Fig06Config, rates []float64) (*Fig06Result, e
 	p.PECost = 10 * time.Microsecond
 	p.Run = 3 * time.Second
 	if len(configs) == 0 {
-		configs = DefaultFig06Configs()
+		configs = defaultFig06Configs()
 	}
 	if len(rates) == 0 {
 		rates = Fig06Rates

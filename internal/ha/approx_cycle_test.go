@@ -51,7 +51,7 @@ func buildApproxCycleTestbed(t *testing.T, budget core.ErrorBudget) (*cluster.Cl
 // divergence reads the approx policy's loss accounting off a group.
 func divergence(t *testing.T, g *ha.Group) core.DivergenceStats {
 	t.Helper()
-	dr, ok := g.HA.Policy().(core.DivergenceReporter)
+	dr, ok := g.HA.Policy().(*core.ApproxPolicy)
 	if !ok {
 		t.Fatalf("policy %T does not report divergence", g.HA.Policy())
 	}

@@ -126,7 +126,7 @@ func (j *job) build(nodes []*node) error {
 		// it, so replicas agree on ownership even while a rescale is moving
 		// partitions.
 		if n.def.partitioned() {
-			n.split = queue.NewPartitioner(n.def.Partitions, n.def.instances())
+			n.split = queue.NewPartitioner(queue.DefaultPartitions, n.def.instances())
 			for _, in := range n.in {
 				in.down = n.split
 			}
@@ -415,7 +415,7 @@ func (j *job) upstreamOf(n *node) []*queue.Output {
 			outs = append(outs, in.src.Out())
 		}
 		for _, g := range j.groupsOf(in) {
-			outs = append(outs, g.LiveOutputs()...)
+			outs = append(outs, g.liveOutputs()...)
 		}
 	}
 	return outs
@@ -429,7 +429,7 @@ func (j *job) targets(n *node, stream string) []core.Target {
 	}
 	var out []core.Target
 	for _, g := range j.groupsOf(n) {
-		out = append(out, g.ConsumerTargets(stream)...)
+		out = append(out, g.consumerTargets(stream)...)
 	}
 	return out
 }
@@ -488,15 +488,21 @@ func (j *job) stop() {
 		}
 	}
 	for _, g := range j.groups() {
-		g.HA.Stop()
-		if sec := g.SecondaryRuntime(); sec != nil {
-			sec.Stop()
-		}
-		g.PrimaryRuntime().Stop()
+		stopGroup(g)
 	}
 	for _, n := range j.nodes {
 		if n.sink != nil {
 			n.sink.Stop()
 		}
 	}
+}
+
+// stopGroup stops g's lifecycle, which hands its scheduler slots back, and
+// its current copies, which a lifecycle that never started leaves running.
+func stopGroup(g *Group) {
+	g.HA.Stop()
+	if sec := g.HA.SecondaryRuntime(); sec != nil {
+		sec.Stop()
+	}
+	g.HA.PrimaryRuntime().Stop()
 }

@@ -120,10 +120,6 @@ func ParseModeBudget(s string) (Mode, core.ErrorBudget, error) {
 // core package's options type; the policy itself lives in core.
 type PSOptions = core.PassiveOptions
 
-// MigrationEvent records one passive-standby recovery (alias of the core
-// event type).
-type MigrationEvent = core.MigrationEvent
-
 // policyFor maps a subjob's Mode to its StandbyPolicy — the one residual
 // mode dispatch in the package; everything downstream of it is uniform.
 // approx is the error budget applied when m is ModeApprox (a zero budget

@@ -42,11 +42,6 @@ type SubjobDef struct {
 	// of Element.Key over the stage's partition table. 0 selects the legacy
 	// single unpartitioned instance (no routing table, no input guard).
 	Parallelism int
-	// Partitions is the logical partition count of the stage's routing
-	// table (default queue.DefaultPartitions); meaningful only with
-	// Parallelism ≥ 1. Rescaling moves logical partitions between
-	// instances, so Partitions bounds the granularity of rebalancing.
-	Partitions int
 	// Primaries and Secondaries place instance k on Primaries[k] and
 	// Secondaries[k]; instances beyond a slice fall back to Primary or
 	// Secondary. Every instance shares Spare. Meaningful only with
@@ -150,8 +145,8 @@ type Group struct {
 	HA *core.Lifecycle
 }
 
-// LiveOutputs returns the output queues of every live copy of the group.
-func (g *Group) LiveOutputs() []*queue.Output {
+// liveOutputs returns the output queues of every live copy of the group.
+func (g *Group) liveOutputs() []*queue.Output {
 	outs := []*queue.Output{g.HA.PrimaryRuntime().Out()}
 	if sec := g.HA.SecondaryRuntime(); sec != nil {
 		outs = append(outs, sec.Out())
@@ -159,14 +154,14 @@ func (g *Group) LiveOutputs() []*queue.Output {
 	return outs
 }
 
-// ConsumerTargets returns every copy of the group as a consumer of its
+// consumerTargets returns every copy of the group as a consumer of its
 // input stream, with the flag saying whether data should flow to it now:
 // always to the primary, and to a standby copy only while it is running
 // (an AS twin, or a hybrid standby that is currently switched over). A
 // suspended standby's subscription stays inactive — that is the early
 // connection. Part carries the group's partition-instance index so keyed
 // producers filter the subscription to the keys the group serves.
-func (g *Group) ConsumerTargets(logical string) []core.Target {
+func (g *Group) consumerTargets(logical string) []core.Target {
 	stream := subjob.DataStream(g.Spec.ID, logical)
 	out := []core.Target{{Node: g.HA.PrimaryRuntime().Node(), Stream: stream, Active: true, Part: g.Part}}
 	if sec := g.HA.SecondaryRuntime(); sec != nil {
@@ -174,13 +169,6 @@ func (g *Group) ConsumerTargets(logical string) []core.Target {
 	}
 	return out
 }
-
-// PrimaryRuntime returns the group's current primary copy.
-func (g *Group) PrimaryRuntime() *subjob.Runtime { return g.HA.PrimaryRuntime() }
-
-// SecondaryRuntime returns the group's standby copy, or nil (AS returns
-// its second copy; PS keeps state in a store, not a copy).
-func (g *Group) SecondaryRuntime() *subjob.Runtime { return g.HA.SecondaryRuntime() }
 
 // Pipeline is a deployed chain job: a job graph whose nodes are the
 // source, the stages in chain order, then the sink.
@@ -245,7 +233,7 @@ func (p *Pipeline) Source() *cluster.Source { return p.j.nodes[0].src }
 func (p *Pipeline) Sink() *cluster.Sink { return p.j.nodes[len(p.j.nodes)-1].sink }
 
 // Groups returns one group per stage in chain order: the sole group of a
-// legacy stage, instance 0 of a keyed-parallel one. Use StageInstances for
+// legacy stage, instance 0 of a keyed-parallel one. AllGroups returns
 // every instance.
 func (p *Pipeline) Groups() []*Group {
 	out := make([]*Group, len(p.j.nodes)-2)
@@ -256,32 +244,10 @@ func (p *Pipeline) Groups() []*Group {
 }
 
 // Group returns stage i's first instance.
-func (p *Pipeline) Group(i int) *Group { return p.StageInstances(i)[0] }
-
-// StageInstances returns every instance of stage i in partition order.
-func (p *Pipeline) StageInstances(i int) []*Group { return p.j.groupsOf(p.stage(i)) }
+func (p *Pipeline) Group(i int) *Group { return p.j.groupsOf(p.stage(i))[0] }
 
 // AllGroups returns every group of every stage, stage-major.
 func (p *Pipeline) AllGroups() []*Group { return p.j.groups() }
-
-// Streams returns the base link stream names, source stream first. A
-// keyed-parallel stage's instances suffix ".p<k>" to their link's base
-// name; LinkStreams returns the expanded per-instance list.
-func (p *Pipeline) Streams() []string {
-	out := make([]string, len(p.j.nodes)-1)
-	for i := range out {
-		out[i] = p.j.nodes[i].stream
-	}
-	return out
-}
-
-// LinkStreams returns the stream names feeding link i
-// (i == Stages() means the sink's input link).
-func (p *Pipeline) LinkStreams(i int) []string {
-	p.j.mu.Lock()
-	defer p.j.mu.Unlock()
-	return append([]string(nil), p.j.nodes[i].streams...)
-}
 
 // RegisterMetrics registers every component of the pipeline in reg:
 // transport traffic, source and sink state, and — per group — the current
@@ -347,7 +313,7 @@ func registerGroupMetrics(reg *metrics.Registry, g *Group) {
 		}
 		return nil
 	})
-	if dr, ok := lc.Policy().(core.DivergenceReporter); ok {
+	if dr, ok := lc.Policy().(*core.ApproxPolicy); ok {
 		reg.Register("subjob/"+id+"/divergence", func() any { return dr.Divergence() })
 	}
 }

@@ -2,6 +2,7 @@ package ha
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"streamha/internal/checkpoint"
@@ -116,7 +117,7 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement) (*RescaleReport, err
 	if err != nil {
 		return nil, err
 	}
-	spec, rt, sink := g.Spec, g.PrimaryRuntime(), p.Sink()
+	spec, rt, sink := g.Spec, g.HA.PrimaryRuntime(), p.Sink()
 	j.mu.Lock()
 	n.streams = append(n.streams, spec.OutStream)
 	j.mu.Unlock()
@@ -128,6 +129,20 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement) (*RescaleReport, err
 	ups := j.upstreamOf(n)
 	for _, up := range ups {
 		up.SubscribePart(rt.Node(), subjob.DataStream(spec.ID, up.StreamID), false, k)
+	}
+	// abandon undoes the deployment when ScaleOut fails before the new
+	// instance joins the stage: upstream drops its subscriptions, the
+	// instance stops and hands its slots back, and the sink and the link
+	// forget its output stream.
+	abandon := func() {
+		for _, up := range ups {
+			up.Unsubscribe(rt.Node())
+		}
+		stopGroup(g)
+		sink.RemoveInput(spec.OutStream)
+		j.mu.Lock()
+		n.streams = slices.DeleteFunc(n.streams, func(s string) bool { return s == spec.OutStream })
+		j.mu.Unlock()
 	}
 
 	// The migration owns the donor's delta baseline: an interleaved manager
@@ -176,6 +191,7 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement) (*RescaleReport, err
 		}
 		donor.WithPaused(func() { err = syncRound(i == 0) })
 		if err != nil {
+			abandon()
 			return nil, err
 		}
 	}
@@ -198,6 +214,7 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement) (*RescaleReport, err
 		for donor.Backlog() > 0 {
 			if clk.Now().After(deadline) {
 				reopen()
+				abandon()
 				return nil, fmt.Errorf("ha: ScaleOut: donor backlog did not drain within %v", drainTimeout)
 			}
 			clk.Sleep(500 * time.Microsecond)
@@ -226,6 +243,7 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement) (*RescaleReport, err
 		})
 		if cutErr != nil {
 			reopen()
+			abandon()
 			return nil, cutErr
 		}
 	}

@@ -1,11 +1,7 @@
 package ha
 
 import (
-	"time"
-
 	"streamha/internal/cluster"
-	"streamha/internal/core"
-	"streamha/internal/sched"
 	"streamha/internal/subjob"
 )
 
@@ -17,8 +13,6 @@ type TopologySource struct {
 	Machine string
 	// Rate is the emission rate in elements per second.
 	Rate float64
-	// Burst shaping, as in SourceDef.
-	BurstOn, BurstOff time.Duration
 }
 
 // TopologySubjob declares one subjob node of a DAG job.
@@ -50,23 +44,14 @@ type TopologySink struct {
 	TrackIDs bool
 }
 
-// TopologyConfig deploys a DAG job.
+// TopologyConfig deploys a DAG job. Its HA policies run with their
+// default tuning on static placement.
 type TopologyConfig struct {
 	Cluster *cluster.Cluster
 	JobID   string
 	Sources []TopologySource
 	Subjobs []TopologySubjob
 	Sinks   []TopologySink
-	// Hybrid, PS and Approx tune the HA policies, AckInterval the ackers
-	// and sinks, as in PipelineConfig.
-	Hybrid      core.Options
-	PS          PSOptions
-	Approx      core.ErrorBudget
-	AckInterval time.Duration
-	// Scheduler and RearmInterval enable scheduler-resolved placement and
-	// automatic re-arm, as in PipelineConfig.
-	Scheduler     *sched.Scheduler
-	RearmInterval time.Duration
 }
 
 // Topology is a deployed DAG job.
@@ -79,7 +64,7 @@ func NewTopology(cfg TopologyConfig) (*Topology, error) {
 	var nodes []*node
 	for _, s := range cfg.Sources {
 		nodes = append(nodes, &node{kind: sourceNode, name: s.Name, machine: s.Machine,
-			source: SourceDef{Rate: s.Rate, BurstOn: s.BurstOn, BurstOff: s.BurstOff}})
+			source: SourceDef{Rate: s.Rate}})
 	}
 	for _, sj := range cfg.Subjobs {
 		nodes = append(nodes, &node{kind: subjobNode, name: sj.ID, inputs: sj.Inputs, stage: -1, def: SubjobDef{
@@ -96,14 +81,9 @@ func NewTopology(cfg TopologyConfig) (*Topology, error) {
 		nodes = append(nodes, &node{kind: sinkNode, name: sk.Name, inputs: sk.Inputs, machine: sk.Machine, trackIDs: sk.TrackIDs})
 	}
 	j := &job{
-		cl:          cfg.Cluster,
-		id:          cfg.JobID,
-		hybrid:      cfg.Hybrid,
-		ps:          cfg.PS,
-		approx:      cfg.Approx,
-		ackInterval: cfg.AckInterval,
-		rearm:       cfg.RearmInterval,
-		placer:      newSchedPlacer(cfg.Cluster, cfg.Scheduler),
+		cl:     cfg.Cluster,
+		id:     cfg.JobID,
+		placer: newSchedPlacer(cfg.Cluster, nil),
 	}
 	if err := j.build(nodes); err != nil {
 		return nil, err
@@ -142,15 +122,4 @@ func (t *Topology) Group(id string) *Group {
 		return t.j.groupsOf(n)[0]
 	}
 	return nil
-}
-
-// Order returns the subjobs in topological order.
-func (t *Topology) Order() []string {
-	var out []string
-	for _, n := range t.j.nodes {
-		if n.kind == subjobNode {
-			out = append(out, n.name)
-		}
-	}
-	return out
 }

@@ -149,9 +149,9 @@ func (d *DelayStats) Mean() time.Duration {
 	return time.Duration(sum / n)
 }
 
-// Max returns the largest sample. Max is tracked exactly, outside the
+// max returns the largest sample. Max is tracked exactly, outside the
 // reservoir, so it never degrades under sampling.
-func (d *DelayStats) Max() time.Duration {
+func (d *DelayStats) max() time.Duration {
 	var m int64
 	for i := 0; i < numShards; i++ {
 		if v := d.shards[i].max.Load(); v > m {
@@ -236,17 +236,10 @@ func (d *DelayStats) Percentile(p float64) time.Duration {
 		return 0
 	}
 	if p == 100 {
-		return d.Max()
+		return d.max()
 	}
 	q := d.quantiles(p)
 	return q[0]
-}
-
-// Quantiles returns the percentile for each of ps with a single merge and
-// sort of the reservoirs. Each p follows the same convention as
-// Percentile.
-func (d *DelayStats) Quantiles(ps ...float64) []time.Duration {
-	return d.quantiles(ps...)
 }
 
 func (d *DelayStats) quantiles(ps ...float64) []time.Duration {
@@ -255,7 +248,7 @@ func (d *DelayStats) quantiles(ps ...float64) []time.Duration {
 	if len(samples) == 0 {
 		for i, p := range ps {
 			if p == 100 {
-				out[i] = d.Max()
+				out[i] = d.max()
 			}
 		}
 		return out
@@ -266,7 +259,7 @@ func (d *DelayStats) quantiles(ps ...float64) []time.Duration {
 		case p <= 0 || p > 100:
 			out[i] = 0
 		case p == 100:
-			out[i] = d.Max()
+			out[i] = d.max()
 		default:
 			rank := math.Floor(p/100*total + 0.5)
 			if rank < 1 {
@@ -290,10 +283,10 @@ func (d *DelayStats) quantiles(ps ...float64) []time.Duration {
 	return out
 }
 
-// Sampled reports whether any shard has recorded more samples than its
+// sampled reports whether any shard has recorded more samples than its
 // reservoir retains, i.e. whether quantiles are estimates rather than
 // exact.
-func (d *DelayStats) Sampled() bool {
+func (d *DelayStats) sampled() bool {
 	for i := 0; i < numShards; i++ {
 		if d.shards[i].count.Load() > reservoirCap {
 			return true
@@ -322,10 +315,10 @@ func (d *DelayStats) Snapshot() DelaySnapshot {
 	return DelaySnapshot{
 		Count:   int64(d.Count()),
 		MeanMS:  ms(d.Mean()),
-		MaxMS:   ms(d.Max()),
+		MaxMS:   ms(d.max()),
 		P50MS:   ms(q[0]),
 		P95MS:   ms(q[1]),
 		P99MS:   ms(q[2]),
-		Sampled: d.Sampled(),
+		Sampled: d.sampled(),
 	}
 }

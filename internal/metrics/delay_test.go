@@ -110,7 +110,7 @@ func TestPercentileExactWhileUnsampled(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if d.Sampled() {
+	if d.sampled() {
 		t.Fatal("reservoirs overflowed with only 4000 samples")
 	}
 	for _, p := range []float64{0.1, 10, 50, 90, 99, 100} {
@@ -134,7 +134,7 @@ func TestSketchAccuracy(t *testing.T) {
 		d.Add(v)
 		all = append(all, v)
 	}
-	if !d.Sampled() {
+	if !d.sampled() {
 		t.Fatal("100k samples should overflow the reservoirs")
 	}
 	// Uniform reservoir sampling at k=4096 has rank standard error
@@ -180,7 +180,7 @@ func TestDelayStatsConcurrentPolling(t *testing.T) {
 				return
 			}
 			p50, p99 := d.Percentile(50), d.Percentile(99)
-			if p50 < 0 || p99 < p50 && d.Count() > 0 && !d.Sampled() {
+			if p50 < 0 || p99 < p50 && d.Count() > 0 && !d.sampled() {
 				t.Errorf("live percentiles inconsistent: p50=%v p99=%v", p50, p99)
 				return
 			}
@@ -214,7 +214,7 @@ func TestDelayStatsConcurrentPolling(t *testing.T) {
 	if got, want := d.Mean(), time.Duration(wantSum/int64(writers*perWriter)); got != want {
 		t.Fatalf("Mean = %v, want exact %v", got, want)
 	}
-	if m := d.Max(); m <= 0 || m >= maxVal {
+	if m := d.max(); m <= 0 || m >= maxVal {
 		t.Fatalf("Max = %v out of range", m)
 	}
 	if p50 := d.Percentile(50); p50 <= 0 || p50 >= maxVal {

@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -69,75 +68,3 @@ func (r Recovery) Deploy() time.Duration { return r.ReadyAt.Sub(r.DetectedAt) }
 
 // Reprocess returns the retransmission/reprocessing phase duration.
 func (r Recovery) Reprocess() time.Duration { return r.FirstOutputAt.Sub(r.ReadyAt) }
-
-// Total returns the full recovery time: failure inception to first new
-// output.
-func (r Recovery) Total() time.Duration { return r.FirstOutputAt.Sub(r.FailureAt) }
-
-// RecoveryLog accumulates recovery records, safe for concurrent use.
-type RecoveryLog struct {
-	mu      sync.Mutex
-	records []Recovery
-}
-
-// Add appends one record.
-func (l *RecoveryLog) Add(r Recovery) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.records = append(l.records, r)
-}
-
-// Records returns a copy of all records.
-func (l *RecoveryLog) Records() []Recovery {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Recovery(nil), l.records...)
-}
-
-// RecoverySnapshot is a JSON-marshalable summary of a RecoveryLog,
-// exported through the metrics Registry.
-type RecoverySnapshot struct {
-	Recoveries    int     `json:"recoveries"`
-	DetectionMS   float64 `json:"mean_detection_ms"`
-	DeployMS      float64 `json:"mean_deploy_ms"`
-	ReprocessMS   float64 `json:"mean_reprocess_ms"`
-	LastTotalMS   float64 `json:"last_total_ms"`
-	LastFailureAt string  `json:"last_failure_at,omitempty"`
-}
-
-// Snapshot summarizes the log: record count, mean phase durations, and
-// the most recent recovery.
-func (l *RecoveryLog) Snapshot() RecoverySnapshot {
-	det, dep, rep := l.MeanPhases()
-	ms := func(v time.Duration) float64 { return float64(v) / 1e6 }
-	s := RecoverySnapshot{
-		DetectionMS: ms(det),
-		DeployMS:    ms(dep),
-		ReprocessMS: ms(rep),
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s.Recoveries = len(l.records)
-	if n := len(l.records); n > 0 {
-		last := l.records[n-1]
-		s.LastTotalMS = ms(last.Total())
-		s.LastFailureAt = last.FailureAt.Format(time.RFC3339Nano)
-	}
-	return s
-}
-
-// MeanPhases returns the mean of each phase over the records.
-func (l *RecoveryLog) MeanPhases() (detection, deploy, reprocess time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.records) == 0 {
-		return 0, 0, 0
-	}
-	for _, r := range l.records {
-		detection += r.Detection()
-		deploy += r.Deploy()
-		reprocess += r.Reprocess()
-	}
-	n := time.Duration(len(l.records))
-	return detection / n, deploy / n, reprocess / n
-}

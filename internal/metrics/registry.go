@@ -53,14 +53,6 @@ func (r *Registry) Register(name string, src Source) {
 	delete(r.cache, name)
 }
 
-// Unregister removes the source under name, if present.
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.sources, name)
-	delete(r.cache, name)
-}
-
 // SetSourceTTL sets the per-source cache lifetime used by Snapshot (and
 // everything built on it, like WritePrometheus): a source evaluated
 // within the last d serves its cached value. d <= 0 disables caching,

@@ -35,7 +35,7 @@ func TestProcessBatchAllocatesOnlyTheOutputArray(t *testing.T) {
 	ins := inBatch("s", 1, 16)
 	t.Run("owning sink", func(t *testing.T) {
 		sink := &dropSink{}
-		p := New(Config{Name: "t", Logic: &CounterLogic{}, Sink: sink})
+		p := New(Config{Logic: &CounterLogic{}, Sink: sink})
 		p.processBatch(ins) // creates the consumed-position entry for "s"
 		if got := testing.AllocsPerRun(runs, func() { p.processBatch(ins) }); got != 1 {
 			t.Errorf("processBatch made %v allocations per batch, want 1", got)
@@ -49,7 +49,7 @@ func TestProcessBatchAllocatesOnlyTheOutputArray(t *testing.T) {
 	})
 	t.Run("pipe sink", func(t *testing.T) {
 		pipe := NewPipe()
-		p := New(Config{Name: "t", Logic: &CounterLogic{}, Sink: pipe})
+		p := New(Config{Logic: &CounterLogic{}, Sink: pipe})
 		popped := 0
 		batch := func() {
 			p.processBatch(ins)
@@ -72,7 +72,7 @@ func TestProcessBatchAllocatesOnlyTheOutputArray(t *testing.T) {
 // batch twice.
 func TestPEReusesItsArrayOnlyBecausePipeCopies(t *testing.T) {
 	pipe := NewPipe()
-	p := New(Config{Name: "t", Logic: &CounterLogic{}, Sink: pipe})
+	p := New(Config{Logic: &CounterLogic{}, Sink: pipe})
 	p.processBatch(inBatch("s", 1, 4))
 	p.processBatch(inBatch("s", 5, 4))
 	got := pipe.TryPop(100)

@@ -74,10 +74,10 @@ func AppendPatchChunk(dst []byte, off int, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// WalkPatch decodes a patch, calling size once with the final snapshot
+// walkPatch decodes a patch, calling size once with the final snapshot
 // length and then chunk for each (offset, bytes) range in order. The bytes
 // slice aliases the patch and must not be retained.
-func WalkPatch(patch []byte, size func(finalLen int) error, chunk func(off int, b []byte) error) error {
+func walkPatch(patch []byte, size func(finalLen int) error, chunk func(off int, b []byte) error) error {
 	finalLen, n := binary.Uvarint(patch)
 	if n <= 0 {
 		return fmt.Errorf("pe: patch truncated at final length")
@@ -131,7 +131,7 @@ func WalkPatch(patch []byte, size func(finalLen int) error, chunk func(off int, 
 // otherwise a new slice is allocated and the base contents carried over.
 func ApplyPatch(base, patch []byte) ([]byte, error) {
 	out := base
-	err := WalkPatch(patch,
+	err := walkPatch(patch,
 		func(finalLen int) error {
 			switch {
 			case finalLen <= len(out):

@@ -229,7 +229,7 @@ func (l *CounterLogic) DeltaSnapshot() ([]byte, bool) {
 
 // ApplyDelta implements DeltaLogic, folding a patch into the live state.
 func (l *CounterLogic) ApplyDelta(patch []byte) error {
-	return WalkPatch(patch,
+	return walkPatch(patch,
 		func(finalLen int) error {
 			if finalLen < 16 {
 				return fmt.Errorf("pe: counter delta final length %d too short", finalLen)
@@ -286,9 +286,6 @@ func (l *CounterLogic) StateBytes() int { return 16 + l.padLen() }
 
 // Count returns the number of elements processed, for tests.
 func (l *CounterLogic) Count() uint64 { return l.count }
-
-// Sum returns the running payload sum, for tests.
-func (l *CounterLogic) Sum() int64 { return l.sum }
 
 // FilterLogic drops elements whose payload is divisible by Modulus
 // (selectivity below one). Stateless.

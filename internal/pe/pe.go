@@ -32,8 +32,6 @@ type Executor interface {
 
 // Config assembles a PE runtime.
 type Config struct {
-	// Name identifies the PE in logs and metrics.
-	Name string
 	// Logic is the processing function with its checkpointable state.
 	Logic Logic
 	// Cost is the CPU work charged per input element; this is the
@@ -99,9 +97,6 @@ func New(cfg Config) *PE {
 	_, p.keepOuts = cfg.Sink.(*Pipe)
 	return p
 }
-
-// Name returns the PE's name.
-func (p *PE) Name() string { return p.cfg.Name }
 
 // Logic returns the PE's logic, for checkpointing and inspection.
 func (p *PE) Logic() Logic { return p.cfg.Logic }

@@ -54,7 +54,6 @@ func pushSeq(q *queue.Input, stream string, from, to uint64) {
 
 func newTestPE(src Source, sink Sink) *PE {
 	return New(Config{
-		Name:      "t",
 		Logic:     &CounterLogic{},
 		BatchSize: 8,
 		Source:    src,

@@ -256,23 +256,6 @@ func (q *Input) SnapshotBuf() []In {
 	return append([]In(nil), q.buf...)
 }
 
-// RestoreBuf replaces the queued elements and raises the dedup mark to
-// cover them.
-func (q *Input) RestoreBuf(buf []In) {
-	q.mu.Lock()
-	q.buf = append([]In(nil), buf...)
-	for _, in := range q.buf {
-		if in.Elem.Seq > q.accepted[in.Stream] {
-			q.accepted[in.Stream] = in.Elem.Seq
-		}
-	}
-	n := len(q.buf)
-	q.mu.Unlock()
-	if n > 0 {
-		q.signal()
-	}
-}
-
 // Len returns the number of queued elements.
 func (q *Input) Len() int {
 	q.mu.Lock()

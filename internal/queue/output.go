@@ -144,13 +144,6 @@ func (o *Output) SetPartitioner(pt *Partitioner) {
 	o.router = pt
 }
 
-// Partitioner returns the installed routing table, or nil.
-func (o *Output) Partitioner() *Partitioner {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.router
-}
-
 // Subscribe adds a downstream copy. If active, data published from now on
 // flows to it; its acknowledgment position starts at the current trim
 // floor, which is exactly the data a checkpoint-restored copy already has.

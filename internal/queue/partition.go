@@ -54,19 +54,11 @@ func NewPartitioner(parts, instances int) *Partitioner {
 	return pt
 }
 
-// Partitions returns the number of logical partitions.
-func (pt *Partitioner) Partitions() int { return len(*pt.table.Load()) }
-
 // Instances returns the number of instances the table currently maps onto.
 func (pt *Partitioner) Instances() int {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	return pt.instances
-}
-
-// PartitionOf returns the logical partition of key.
-func (pt *Partitioner) PartitionOf(key uint64) int {
-	return element.PartitionOf(key, len(*pt.table.Load()))
 }
 
 // Instance returns the instance currently owning key's partition. It is the
@@ -86,12 +78,6 @@ func (pt *Partitioner) OwnedBy(instance int) []int {
 		}
 	}
 	return out
-}
-
-// Table returns a copy of the current partition→instance table.
-func (pt *Partitioner) Table() []int {
-	t := *pt.table.Load()
-	return append([]int(nil), t...)
 }
 
 // Move remaps the given logical partitions to instance to, installing the

@@ -485,8 +485,8 @@ type NodeStatus struct {
 	Leader string `json:"leader"`
 }
 
-// Status returns the replica's current role, term and log position.
-func (n *Node) Status() NodeStatus {
+// status returns the replica's current role, term and log position.
+func (n *Node) status() NodeStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return NodeStatus{
@@ -495,8 +495,8 @@ func (n *Node) Status() NodeStatus {
 	}
 }
 
-// CommittedView replays the replica's committed log prefix.
-func (n *Node) CommittedView() *View {
+// committedView replays the replica's committed log prefix.
+func (n *Node) committedView() *View {
 	n.mu.Lock()
 	prefix := append([]Entry(nil), n.log[:n.commit]...)
 	n.mu.Unlock()

@@ -24,6 +24,9 @@ var ErrNoLeader = errors.New("sched: placement log has no reachable leader")
 // has never admitted.
 var ErrUnknownMember = errors.New("sched: machine is not a member")
 
+// group namespaces the replicas' streams.
+const group = "sched"
+
 // Config configures a scheduler.
 type Config struct {
 	// Clock is the shared time source; nil selects the wall clock.
@@ -32,8 +35,6 @@ type Config struct {
 	// replica works (a single-machine "majority"); three tolerate one
 	// crash, the usual deployment.
 	Replicas []*machine.Machine
-	// Group namespaces the replicas' streams; "sched" by default.
-	Group string
 	// Tick is the protocol heartbeat period (default 10ms); ElectionTimeout
 	// is the base follower patience before standing for election (default
 	// 80ms, jittered per replica); ProposeTimeout bounds how long a client
@@ -63,9 +64,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.New()
 	}
-	if cfg.Group == "" {
-		cfg.Group = "sched"
-	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = 10 * time.Millisecond
 	}
@@ -81,7 +79,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{cfg: cfg}
 	for _, m := range cfg.Replicas {
-		s.nodes = append(s.nodes, newNode(string(m.ID()), m, cfg.Clock, cfg.Group, peers, cfg.Tick, cfg.ElectionTimeout))
+		s.nodes = append(s.nodes, newNode(string(m.ID()), m, cfg.Clock, group, peers, cfg.Tick, cfg.ElectionTimeout))
 	}
 	return s, nil
 }
@@ -112,12 +110,6 @@ func (s *Scheduler) Stop() {
 		n.stopNode()
 	}
 }
-
-// Nodes exposes the replicas, for tests.
-func (s *Scheduler) Nodes() []*Node { return s.nodes }
-
-// Replicas returns the machines hosting the placement-log replicas.
-func (s *Scheduler) Replicas() []*machine.Machine { return s.cfg.Replicas }
 
 // leaderNode returns the live replica claiming leadership at the highest
 // term, or nil during elections.
@@ -174,13 +166,6 @@ func (s *Scheduler) MemberDown(id string) error {
 	})
 }
 
-// Drain keeps id's current slots but excludes it from new placements.
-func (s *Scheduler) Drain(id string) error {
-	return s.propose(func(*View) (Entry, error) {
-		return Entry{Op: OpDrain, Machine: id}, nil
-	})
-}
-
 // Place resolves req to a machine name. The choice is made by the leader
 // against its up-to-date view and recorded in the log, so concurrent
 // placements never oversubscribe a machine. Denials count toward Stats.
@@ -217,13 +202,6 @@ func (s *Scheduler) Assign(subjob string, role Role, id string) error {
 	})
 }
 
-// Release frees subjob's slot for one role.
-func (s *Scheduler) Release(subjob string, role Role) error {
-	return s.propose(func(*View) (Entry, error) {
-		return Entry{Op: OpRelease, Subjob: subjob, Role: role}, nil
-	})
-}
-
 // ReleaseJob frees every slot subjob holds.
 func (s *Scheduler) ReleaseJob(subjob string) error {
 	return s.propose(func(*View) (Entry, error) {
@@ -237,14 +215,14 @@ func (s *Scheduler) View() *View {
 	var best *Node
 	bestCommit := -1
 	for _, n := range s.nodes {
-		if st := n.Status(); st.Commit > bestCommit {
+		if st := n.status(); st.Commit > bestCommit {
 			best, bestCommit = n, st.Commit
 		}
 	}
 	if best == nil {
 		return replay(nil)
 	}
-	return best.CommittedView()
+	return best.committedView()
 }
 
 // Assignment returns the committed host of subjob's role, if any.
@@ -290,7 +268,7 @@ type Stats struct {
 func (s *Scheduler) Stats() Stats {
 	v := s.View()
 	st := Stats{
-		Group:         s.cfg.Group,
+		Group:         group,
 		Leader:        s.Leader(),
 		Placements:    v.Placements,
 		LeaderChanges: v.LeaderChanges,
@@ -316,7 +294,7 @@ func (s *Scheduler) Stats() Stats {
 		st.Domains[m.Domain] = d
 	}
 	for _, n := range s.nodes {
-		ns := n.Status()
+		ns := n.status()
 		st.Replicas = append(st.Replicas, ns)
 		if ns.ID == st.Leader {
 			st.Term = ns.Term

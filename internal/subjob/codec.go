@@ -51,8 +51,8 @@ func hasMagic(b []byte, magic string) bool {
 	return len(b) >= 4 && string(b[:4]) == magic
 }
 
-// IsDelta reports whether an encoded checkpoint payload is a delta.
-func IsDelta(b []byte) bool { return hasMagic(b, deltaMagic) }
+// isDelta reports whether an encoded checkpoint payload is a delta.
+func isDelta(b []byte) bool { return hasMagic(b, deltaMagic) }
 
 func uvarintLen(x uint64) int {
 	n := 1
@@ -505,7 +505,7 @@ func decodeCheckpoint(b []byte, dec *Decoder) (*Snapshot, *Delta, error) {
 	switch {
 	case IsPartial(b):
 		return nil, nil, fmt.Errorf("subjob: partial checkpoint where full/delta expected (partial frames are not foldable)")
-	case IsDelta(b):
+	case isDelta(b):
 		if delta == nil {
 			delta = &Delta{}
 		}
@@ -559,15 +559,6 @@ func decodeSnapshotBinary(b []byte, s *Snapshot, dec *Decoder) error {
 	s.StateUnits = int(r.uvarint())
 	s.owned = nil
 	return r.done("snapshot")
-}
-
-// DecodeDelta parses an encoded delta checkpoint.
-func DecodeDelta(b []byte) (*Delta, error) {
-	d := &Delta{}
-	if err := decodeDelta(b, d, nil); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // decodeDelta decodes an SHD2 payload into d, overwriting every field;

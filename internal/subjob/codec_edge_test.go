@@ -120,7 +120,7 @@ func TestCodecEmptySnapshotBinaryRouting(t *testing.T) {
 	if !bytes.HasPrefix(enc, []byte("SHS2")) {
 		t.Fatalf("binary snapshot missing magic: %q", enc)
 	}
-	if IsDelta(enc) {
+	if isDelta(enc) {
 		t.Fatal("snapshot detected as delta")
 	}
 	got, err := DecodeSnapshot(enc)

@@ -120,7 +120,7 @@ func TestDecodeRejectsGarbageAndKindMixups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsDelta(enc) {
+	if !isDelta(enc) {
 		t.Fatal("encoded delta not recognized")
 	}
 	if _, err := DecodeSnapshot(enc); err == nil {

@@ -138,7 +138,6 @@ func New(spec Spec, m *machine.Machine, startSuspended bool) (*Runtime, error) {
 			sink = r.pipes[i]
 		}
 		r.pes[i] = pe.New(pe.Config{
-			Name:      fmt.Sprintf("%s/%s", spec.ID, ps.Name),
 			Logic:     ps.NewLogic(),
 			Cost:      ps.Cost,
 			BatchSize: spec.BatchSize,

@@ -258,7 +258,7 @@ func TestStreamNameHelpers(t *testing.T) {
 	if DataStream("sj", "s") != "data|sj|s" || AckStream("o", "s") != "ack|o|s" {
 		t.Fatal("stream naming changed")
 	}
-	parts := ParseStream("a|b|c")
+	parts := parseStream("a|b|c")
 	if len(parts) != 3 || parts[1] != "b" {
 		t.Fatalf("parts %v", parts)
 	}

@@ -39,5 +39,5 @@ func ReadStateStream(sj string) string { return "readstate|" + sj }
 // HeartbeatStream names the heartbeat responder stream of a machine.
 func HeartbeatStream(machineID string) string { return "hb|" + machineID }
 
-// ParseStream splits a stream name into its parts.
-func ParseStream(s string) []string { return strings.Split(s, "|") }
+// parseStream splits a stream name into its parts.
+func parseStream(s string) []string { return strings.Split(s, "|") }

@@ -421,7 +421,7 @@ func TestMemStatsOmitWireSection(t *testing.T) {
 	if bytes.Contains(raw, []byte(`"wire"`)) {
 		t.Fatalf("in-memory stats JSON grew a wire section: %s", raw)
 	}
-	if !net.Stats().Wire.IsZero() {
+	if !net.Stats().Wire.isZero() {
 		t.Fatal("in-memory wire counters moved")
 	}
 }

@@ -29,12 +29,12 @@ type WireStats struct {
 	FramesDropped int64 `json:"frames_dropped"`
 }
 
-// IsZero reports whether no wire activity was recorded (always true for
+// isZero reports whether no wire activity was recorded (always true for
 // the in-memory network).
-func (w WireStats) IsZero() bool { return w == WireStats{} }
+func (w WireStats) isZero() bool { return w == WireStats{} }
 
-// Sub returns the counter deltas w minus earlier.
-func (w WireStats) Sub(earlier WireStats) WireStats {
+// sub returns the counter deltas w minus earlier.
+func (w WireStats) sub(earlier WireStats) WireStats {
 	return WireStats{
 		FramesSent:    w.FramesSent - earlier.FramesSent,
 		BytesSent:     w.BytesSent - earlier.BytesSent,
@@ -85,7 +85,7 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		return out
 	}
 	var wire *WireStats
-	if !s.Wire.IsZero() {
+	if !s.Wire.isZero() {
 		wire = &s.Wire
 	}
 	return json.Marshal(struct {
@@ -117,7 +117,7 @@ func (s Stats) Sub(earlier Stats) Stats {
 	for k, v := range s.Elements {
 		out.Elements[k] = v - earlier.Elements[k]
 	}
-	out.Wire = s.Wire.Sub(earlier.Wire)
+	out.Wire = s.Wire.sub(earlier.Wire)
 	return out
 }
 

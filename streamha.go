@@ -91,7 +91,7 @@ type (
 	// PassiveOptions tunes conventional passive standby.
 	PassiveOptions = ha.PSOptions
 	// ErrorBudget bounds the divergence an Approx-mode failover may admit
-	// (max lost elements, max standby staleness).
+	// (max lost elements).
 	ErrorBudget = core.ErrorBudget
 	// DivergenceStats reports the loss an Approx-mode policy actually
 	// admitted across failovers, against its budget.
