@@ -18,8 +18,10 @@
 // (per-PE byte-range patches plus the output queue's newly published
 // suffix) and every RebaseEvery-th checkpoint is a full snapshot that
 // re-bases the store's folded image. Deltas chain by sequence number; a
-// store that cannot fold a delta drops it without acknowledging, and the
-// manager rebases as soon as its pending-ack window grows.
+// store that cannot fold a delta drops it without acknowledging and
+// reports the break, on which the lifecycle forces the next checkpoint
+// full (ForceFull). A manager whose pending-ack window grows past 16
+// checkpoints rebases too, in case a break went unreported.
 package checkpoint
 
 import (
@@ -85,7 +87,11 @@ type Config struct {
 	Costs Costs
 	// RebaseEvery enables incremental checkpointing: when ≥ 2, up to
 	// RebaseEvery-1 delta checkpoints are taken between full snapshots.
-	// 0 or 1 captures a full snapshot every time (the classic protocol).
+	// 0 or 1 captures a full snapshot every time (the classic protocol). A
+	// count no chain reaches (the passive preset passes the largest int)
+	// never rebases on a count: a full goes out only when one is needed —
+	// the manager's first capture, ForceFull, Resume, or more than 16
+	// checkpoints awaiting the store's acknowledgment.
 	RebaseEvery int
 	// SeqBase seeds the checkpoint sequence counter. A cold restart that
 	// restored catalog sequence N passes N here so new checkpoints continue
@@ -270,13 +276,19 @@ func (m *Core) run() {
 	}
 }
 
+// maxPendingDeltas bounds the pending-ack window a delta may be taken
+// with: more unacknowledged checkpoints than this mean the store is
+// dropping deltas (an unfoldable chain it did not report) or has stopped
+// acknowledging, so the next checkpoint is full.
+const maxPendingDeltas = 16
+
 // wantDeltaLocked decides whether the next checkpoint may be incremental:
-// rebasing is on, a full baseline exists, the cadence has not come due,
-// and the store is keeping up (a growing pending window means deltas are
-// being dropped — likely an unfoldable chain — so rebase with a full).
+// incremental checkpointing is on, a full baseline exists, the rebase
+// count has not come due, and the store is keeping up (at most
+// maxPendingDeltas checkpoints await its acknowledgment).
 func (m *Core) wantDeltaLocked() bool {
 	return m.cfg.RebaseEvery >= 2 && m.lastOutNext != 0 &&
-		m.sinceFull < m.cfg.RebaseEvery-1 && len(m.pending) <= m.cfg.RebaseEvery*2
+		m.sinceFull < m.cfg.RebaseEvery-1 && len(m.pending) <= maxPendingDeltas
 }
 
 // capture takes one checkpoint: pause, run the variant's capture plan for
@@ -304,6 +316,9 @@ func (m *Core) capture(target int, by cause) time.Duration {
 	}
 	m.fullNext = false
 	m.mu.Unlock()
+	if w.delta {
+		w.reuse = m.ship.takeDelta()
+	}
 
 	start := m.cfg.Clock.Now()
 	var j shipJob

@@ -66,6 +66,9 @@ type shipper struct {
 	sent []sentPayload
 	free [][]byte
 	keep int
+	// spent holds encoded deltas for the next delta capture to refill
+	// (takeDelta), at most keep of them.
+	spent []*subjob.Delta
 }
 
 // sentPayload is one shipped checkpoint's payload.
@@ -147,6 +150,12 @@ func (sh *shipper) process(j shipJob) {
 		state = j.part.AppendTo(sh.take(j.part.EncodedSize()))
 	default:
 		state = j.delta.AppendTo(sh.take(j.delta.EncodedSize()))
+		// Likewise the delta: the next delta capture refills it.
+		sh.mu.Lock()
+		if len(sh.spent) < sh.keep {
+			sh.spent = append(sh.spent, j.delta)
+		}
+		sh.mu.Unlock()
 	}
 	encodeDur := clk.Since(t0)
 	// Recorded before the send: the acknowledgment may come back before
@@ -206,6 +215,20 @@ func (sh *shipper) take(size int) []byte {
 	sh.free[best], sh.free[last] = sh.free[last], nil
 	sh.free = sh.free[:last]
 	return b[:0]
+}
+
+// takeDelta returns an encoded delta for a capture to refill, or nil.
+func (sh *shipper) takeDelta() *subjob.Delta {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	n := len(sh.spent)
+	if n == 0 {
+		return nil
+	}
+	d := sh.spent[n-1]
+	sh.spent[n-1] = nil
+	sh.spent = sh.spent[:n-1]
+	return d
 }
 
 // release hands back the payloads of checkpoint seq and every older one:

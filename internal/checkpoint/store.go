@@ -392,14 +392,25 @@ func (s *Store) Close() {
 // full snapshot with every delta that extends it folded in. The zero value
 // is an empty image.
 type Image struct {
+	// dec decodes deltas; the store's goroutine is its only user.
+	dec subjob.Decoder
+
 	mu     sync.Mutex
 	latest *subjob.Snapshot
 }
 
-// Decode decodes into fresh values: the image keeps a full snapshot and
-// folds deltas into it in place (DESIGN §11, rule 3).
+// Decode decodes a delta into the image's own decoder, out of which the
+// fold copies what it keeps, and a full into fresh values: the image keeps
+// a full snapshot and folds deltas into it in place (DESIGN §11, rule 3).
 func (im *Image) Decode(payload []byte) (*subjob.Snapshot, *subjob.Delta, error) {
-	return subjob.DecodeCheckpoint(payload)
+	snap, d, err := im.dec.Decode(payload)
+	if snap != nil {
+		// The full becomes the image, which outlives the decoder's next
+		// Decode. Its PE states only alias the payload, so decoding it again
+		// copies little.
+		return subjob.DecodeCheckpoint(payload)
+	}
+	return nil, d, err
 }
 
 // Apply implements Target. A full's PE states are copied into the buffers

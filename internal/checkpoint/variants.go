@@ -59,11 +59,12 @@ func NewIndividual(cfg Config) *Core {
 // want is what the core's cadence asks of one capture: a partial frame, a
 // delta against the previous checkpoint (whose output queue ended at
 // outSince), or — neither set, or the delta not expressible — a full
-// snapshot.
+// snapshot. A delta capture refills reuse, an encoded delta, when set.
 type want struct {
 	partial  bool
 	delta    bool
 	outSince uint64
+	reuse    *subjob.Delta
 }
 
 // capture takes what w asks for on PE i's turn (always 0 unless the trigger
@@ -93,7 +94,7 @@ func (p capturePlan) capture(cfg *Config, i int, w want) (j shipJob, ack map[str
 			IncludeOutput: last,
 			IncludeInput:  p.input && first,
 			OnlyPE:        only,
-		})
+		}, w.reuse)
 	}
 	if j.delta != nil {
 		consumed = &j.delta.Consumed

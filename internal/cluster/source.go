@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -145,13 +146,13 @@ func (s *Source) run() {
 
 // emit produces the elements owed for the dt that actually elapsed since
 // the previous tick — tickers drop ticks under scheduling pressure, and
-// integrating over real elapsed time keeps the average rate exact.
+// integrating over real elapsed time keeps the average rate exact. After a
+// stall one tick emits at most four ticks' worth; the rest of the debt
+// stays in carry and is paid off over the following ticks, so a stall
+// delays elements but loses none.
 func (s *Source) emit(epoch time.Time, dt time.Duration) {
 	if dt <= 0 {
 		return
-	}
-	if dt > 4*s.cfg.Tick {
-		dt = 4 * s.cfg.Tick // cap burst after a long stall
 	}
 	rate := s.cfg.Rate
 	if s.cfg.BurstOn > 0 && s.cfg.BurstOff > 0 {
@@ -164,7 +165,7 @@ func (s *Source) emit(epoch time.Time, dt time.Duration) {
 	}
 	s.mu.Lock()
 	s.carry += rate * dt.Seconds()
-	n := int(s.carry)
+	n := min(int(s.carry), int(math.Ceil(rate*(4*s.cfg.Tick).Seconds())))
 	s.carry -= float64(n)
 	if n == 0 {
 		s.mu.Unlock()

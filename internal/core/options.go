@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"streamha/internal/checkpoint"
@@ -97,6 +98,14 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// neverRebase is the passive preset's CheckpointRebaseEvery: a count no
+// delta chain reaches, so its manager never rebases on a count. A full goes
+// out only when one is needed: the manager's first capture (at arm, and on
+// every new manager after a migration or re-arm), after a chain break
+// (EventChainBreak → actRebase → ForceFull), after Resume, and when the
+// pending-ack window trips.
+const neverRebase = math.MaxInt
 
 // The CPU work of the deployment steps, at the experiments' one-fifth
 // timescale.

@@ -44,18 +44,21 @@ func NewHybridPolicy(o Options) *HybridPolicy {
 // secondary — so under transient failures the subjob keeps experiencing
 // spikes on whichever machine it lands on, as the paper observes in
 // Figure 4. The policy re-arms after every migration, so repeated failures
-// keep being survived while both machines stay alive.
+// keep being survived while both machines stay alive. The store folds
+// deltas into its image, so after its first full the manager ships deltas,
+// and a full again only when one is needed (see neverRebase).
 func NewPassivePolicy(o PassiveOptions) *HybridPolicy {
 	if o.MissThreshold <= 0 {
 		o.MissThreshold = 3
 	}
 	hp := NewHybridPolicy(Options{
-		HeartbeatInterval:  o.HeartbeatInterval,
-		MissThreshold:      o.MissThreshold,
-		CheckpointInterval: o.CheckpointInterval,
-		CheckpointCosts:    o.CheckpointCosts,
-		NoPreDeploy:        true,
-		NoEarlyConnection:  true,
+		HeartbeatInterval:     o.HeartbeatInterval,
+		MissThreshold:         o.MissThreshold,
+		CheckpointInterval:    o.CheckpointInterval,
+		CheckpointCosts:       o.CheckpointCosts,
+		CheckpointRebaseEvery: neverRebase,
+		NoPreDeploy:           true,
+		NoEarlyConnection:     true,
 	})
 	hp.migrate = true
 	return hp

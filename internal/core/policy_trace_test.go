@@ -59,6 +59,7 @@ func (p *tracePlacer) Release(string) {}
 // resume and connect costs exactly.
 type policyTrace struct {
 	t      *testing.T
+	net    *transport.Mem
 	lc     *Lifecycle
 	clk    *clock.Manual
 	up     *queue.Output
@@ -91,6 +92,7 @@ func newPolicyTrace(t *testing.T, pol StandbyPolicy) *policyTrace {
 	t.Cleanup(net.Close)
 	pt := &policyTrace{
 		t:    t,
+		net:  net,
 		clk:  clock.NewManual(time.Unix(0, 0)),
 		ms:   map[string]*machine.Machine{},
 		acks: make(chan uint64, 1),

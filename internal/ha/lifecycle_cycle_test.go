@@ -168,11 +168,18 @@ func TestLifecycleCycleHybrid(t *testing.T) {
 // TestLifecycleCyclePassive drives passive standby through two transient
 // stalls — the machine roles ping-pong on each migration — and then a
 // fail-stop crash of the re-armed primary; each failure is one migration
-// in the transition log.
+// in the transition log. Before the first failure the store has folded
+// deltas into its image and dropped none, so the first migration deploys
+// from an image folded from deltas; every element still reaches the sink
+// exactly once.
 func TestLifecycleCyclePassive(t *testing.T) {
 	cl, p := buildCycleTestbed(t, ha.ModePassive)
 	g := p.Group(0)
 	time.Sleep(300 * time.Millisecond)
+	if st := g.HA.Store().Stats(); st.DeltaFolds == 0 || st.DeltaDrops != 0 {
+		t.Fatalf("before the first failure the store folded %d deltas and dropped %d, want some and none",
+			st.DeltaFolds, st.DeltaDrops)
+	}
 
 	// Two transient stalls; the primary alternates p1 -> s1 -> p1.
 	wantNode := []string{"s1", "p1"}
@@ -242,6 +249,7 @@ func TestLifecycleCyclePassive(t *testing.T) {
 	if st.Mode != "passive" || st.Migrations != migrations || st.Switchovers != 0 {
 		t.Fatalf("lifecycle stats %+v", st)
 	}
+	verifyExactlyOnce(t, p, 200)
 }
 
 // TestLifecycleCycleActive: the active-standby twin needs no detector and

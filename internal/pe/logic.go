@@ -38,11 +38,12 @@ type Logic interface {
 
 // SnapshotRecycler is the optional buffer-reuse capability of a Logic. The
 // subjob runtime calls RecycleSnapshot on the capturing goroutine, with the
-// PE paused, immediately before Snapshot: buf is the result of an earlier
-// Snapshot that nobody references any more (its checkpoint has been
-// encoded), and the logic may return it from that next Snapshot instead of
-// allocating. Snapshot stays the one capture call, so a wrapper that
-// overrides it still sees every capture.
+// PE paused, immediately before Snapshot or, for a DeltaLogic, before
+// DeltaSnapshot: buf is the result of an earlier Snapshot or DeltaSnapshot
+// that nobody references any more (its checkpoint has been encoded), and
+// the logic may return it from that next capture instead of allocating.
+// Snapshot and DeltaSnapshot stay the capture calls, so a wrapper that
+// overrides them still sees every capture.
 type SnapshotRecycler interface {
 	RecycleSnapshot(buf []byte)
 }
@@ -83,7 +84,8 @@ type CounterLogic struct {
 	// baseline reports whether the change tracking is aligned with a full
 	// snapshot some consumer holds; false after construction or Restore.
 	baseline bool
-	// spare is a dead earlier snapshot the next Snapshot may fill.
+	// spare is a dead earlier snapshot or patch the next Snapshot or
+	// DeltaSnapshot may fill.
 	spare []byte
 }
 
@@ -186,7 +188,8 @@ func (l *CounterLogic) Restore(state []byte) error {
 func (l *CounterLogic) StateSize() int { return l.Pad }
 
 // DeltaSnapshot implements DeltaLogic: the patch carries the counter head
-// if it changed plus every dirty pad page, then clears the tracking.
+// if it changed plus every dirty pad page, then clears the tracking. Like
+// Snapshot it fills the recycled buffer when that has room.
 func (l *CounterLogic) DeltaSnapshot() ([]byte, bool) {
 	if !l.baseline {
 		return nil, false
@@ -202,7 +205,12 @@ func (l *CounterLogic) DeltaSnapshot() ([]byte, bool) {
 			chunks++
 		}
 	}
-	patch := AppendPatchHeader(make([]byte, 0, 32+chunks*(counterPage+8)), 16+padLen, chunks)
+	patch := l.spare[:0]
+	l.spare = nil
+	if need := 32 + chunks*(counterPage+8); cap(patch) < need {
+		patch = make([]byte, 0, need)
+	}
+	patch = AppendPatchHeader(patch, 16+padLen, chunks)
 	if l.headDirty {
 		var head [16]byte
 		binary.BigEndian.PutUint64(head[0:8], l.count)

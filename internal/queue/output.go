@@ -592,9 +592,11 @@ func (o *Output) SnapshotSince(fromSeq uint64) (OutputDelta, bool) {
 }
 
 // ApplyDelta folds a delta into a full output-queue snapshot: the retained
-// window is trimmed up to the delta's floor and extended with the newly
-// published elements. It fails when the delta does not chain onto this
-// snapshot (FromSeq mismatch) or would move the queue backwards.
+// window is trimmed up to the delta's floor and extended with a copy of the
+// newly published elements. The survivors slide to the front of Buf's own
+// array, so a window of steady size is folded without reallocating; Buf
+// must belong to the snapshot. It fails when the delta does not chain onto
+// this snapshot (FromSeq mismatch) or would move the queue backwards.
 func (s *OutputSnapshot) ApplyDelta(d OutputDelta) error {
 	if d.StreamID != s.StreamID {
 		return fmt.Errorf("queue: output delta for stream %q applied to %q", d.StreamID, s.StreamID)
@@ -606,10 +608,8 @@ func (s *OutputSnapshot) ApplyDelta(d OutputDelta) error {
 		return fmt.Errorf("queue: output delta moves stream %q backwards", d.StreamID)
 	}
 	if n := int(d.Floor - s.Floor); n > 0 {
-		if n > len(s.Buf) {
-			n = len(s.Buf)
-		}
-		s.Buf = s.Buf[n:]
+		n = min(n, len(s.Buf))
+		s.Buf = s.Buf[:copy(s.Buf, s.Buf[n:])]
 	}
 	s.Buf = append(s.Buf, d.New...)
 	if want := int(d.NextSeq - 1 - d.Floor); len(s.Buf) != want {

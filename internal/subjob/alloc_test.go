@@ -151,3 +151,45 @@ func TestAckUpstreamAllocatesNothing(t *testing.T) {
 		t.Fatalf("upstream copies received %d acks, want %d", got, want)
 	}
 }
+
+// TestDeltaCycleAllocatesNoMoreThanFull: on a quiet copy whose output
+// window holds elements, the checkpoint shipper's cycle for a delta —
+// capture refilling the delta it encoded last, encode — allocates no more
+// than its cycle for a full: capture, encode, ReleaseSnapshot.
+func TestDeltaCycleAllocatesNoMoreThanFull(t *testing.T) {
+	rt, m, net := testRuntime(t, false)
+	feed(t, net, m.ID(), "j/sj", 1, 40)
+	deadline := time.Now().Add(2 * time.Second)
+	for rt.Out().Len() < 40 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	buf := make([]byte, 0, 1<<14)
+	var snap *Snapshot
+	full := func() {
+		rt.WithPaused(func() { snap = rt.CaptureFull() })
+		buf = snap.AppendTo(buf[:0])
+		rt.ReleaseSnapshot(snap)
+	}
+	var d *Delta
+	delta := func() {
+		rt.WithPaused(func() {
+			d, _ = rt.CaptureDelta(DeltaOptions{OutputSince: rt.Out().NextSeq(), IncludeOutput: true, OnlyPE: -1}, d)
+		})
+		buf = d.AppendTo(buf[:0])
+	}
+	for i := 0; i < 5; i++ {
+		full()
+		delta()
+	}
+	fullAllocs := testing.AllocsPerRun(100, full)
+	for i := 0; i < 5; i++ {
+		delta()
+	}
+	deltaAllocs := testing.AllocsPerRun(100, delta)
+	if deltaAllocs > fullAllocs {
+		t.Errorf("a delta cycle made %v allocations, a full cycle %v", deltaAllocs, fullAllocs)
+	}
+	if d.PEDeltas[0] == nil || d.PEDeltas[1] == nil {
+		t.Fatal("the deltas shipped full PE states")
+	}
+}

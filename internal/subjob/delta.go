@@ -2,6 +2,7 @@ package subjob
 
 import (
 	"fmt"
+	"maps"
 
 	"streamha/internal/element"
 	"streamha/internal/pe"
@@ -84,13 +85,14 @@ func (s *Snapshot) AsDelta() *Delta {
 }
 
 // ApplyDelta folds a delta into a full snapshot image: patched PE states,
-// replaced pipes/input, and an advanced output window. It never writes
-// through a PE state the snapshot does not own, and keeps none of the
-// delta's PE bytes, which for a decoded delta alias its payload: the first
-// patch of a PE state copies it, later patches of that copy are in place,
-// and a full replacement from the delta is copied into the PE's owned
-// buffer. The pipes, input and consumed map are the delta's. Chain validity
-// (PrevSeq) is the caller's responsibility; shape mismatches and
+// replaced pipes/input, and an advanced output window. It keeps nothing of
+// the delta, whose PE bytes alias the payload it was decoded from and whose
+// other values a Decoder reuses: the first patch of a PE state copies it,
+// later patches of that copy are in place, a full replacement from the
+// delta is copied into the PE's owned buffer, and the pipes, input,
+// consumed map and new output elements are copied into the snapshot's own
+// (which must therefore belong to it, as a decoded snapshot's do). Chain
+// validity (PrevSeq) is the caller's responsibility; shape mismatches and
 // non-contiguous output deltas fail without guaranteeing an unmodified
 // snapshot, so callers must discard the image on error.
 func (s *Snapshot) ApplyDelta(d *Delta) error {
@@ -129,11 +131,11 @@ func (s *Snapshot) ApplyDelta(d *Delta) error {
 	}
 	for i, set := range d.PipeSet {
 		if set {
-			s.Pipes[i] = d.Pipes[i]
+			s.Pipes[i] = append(s.Pipes[i][:0], d.Pipes[i]...)
 		}
 	}
 	if d.HasInput {
-		s.Input = d.Input
+		s.Input = append(s.Input[:0], d.Input...)
 	}
 	if d.HasOutput {
 		if err := s.Output.ApplyDelta(d.Output); err != nil {
@@ -141,7 +143,11 @@ func (s *Snapshot) ApplyDelta(d *Delta) error {
 		}
 	}
 	if d.Consumed != nil {
-		s.Consumed = d.Consumed
+		if s.Consumed == nil {
+			s.Consumed = make(map[string]uint64, len(d.Consumed))
+		}
+		clear(s.Consumed)
+		maps.Copy(s.Consumed, d.Consumed)
 	}
 	return nil
 }

@@ -458,28 +458,60 @@ type DeltaOptions struct {
 // the runtime was restored to an older state since the previous capture —
 // in which case the caller must rebase with CaptureFull. The copy must be
 // paused (or suspended).
-func (r *Runtime) CaptureDelta(opt DeltaOptions) (*Delta, bool) {
-	d := &Delta{
-		SubjobID: r.spec.ID,
-		Consumed: r.pes[0].ConsumedPositions(),
-		PEDeltas: make([][]byte, len(r.pes)),
-		PEFull:   make([][]byte, len(r.pes)),
-		Pipes:    make([][]element.Element, len(r.pipes)),
-		PipeSet:  make([]bool, len(r.pipes)),
-	}
+//
+// A caller may pass reuse, an earlier delta of this copy that nobody reads
+// any more (the checkpoint shipper's, once encoded): the capture refills
+// it, and a logic that recycles snapshot buffers is offered reuse's patch
+// or state buffer for its PE before it captures, as ReleaseSnapshot's
+// spares are before a full capture. The consumed map is always fresh: the
+// checkpoint manager keeps it as the acknowledgment the checkpoint
+// releases.
+func (r *Runtime) CaptureDelta(opt DeltaOptions, reuse ...*Delta) (*Delta, bool) {
+	var od queue.OutputDelta
 	if opt.IncludeOutput {
-		od, ok := r.out.SnapshotSince(opt.OutputSince)
-		if !ok {
+		var ok bool
+		if od, ok = r.out.SnapshotSince(opt.OutputSince); !ok {
 			return nil, false
 		}
-		d.Output = od
-		d.HasOutput = true
+	}
+	var d *Delta
+	if len(reuse) > 0 {
+		d = reuse[0]
+	}
+	if d == nil || len(d.PEDeltas) != len(r.pes) || len(d.PEFull) != len(r.pes) ||
+		len(d.Pipes) != len(r.pipes) || len(d.PipeSet) != len(r.pipes) {
+		d = &Delta{
+			PEDeltas: make([][]byte, len(r.pes)),
+			PEFull:   make([][]byte, len(r.pes)),
+			Pipes:    make([][]element.Element, len(r.pipes)),
+			PipeSet:  make([]bool, len(r.pipes)),
+		}
+	}
+	clear(d.Pipes)
+	clear(d.PipeSet)
+	*d = Delta{
+		SubjobID:  r.spec.ID,
+		Consumed:  r.pes[0].ConsumedPositions(),
+		PEDeltas:  d.PEDeltas,
+		PEFull:    d.PEFull,
+		Pipes:     d.Pipes,
+		PipeSet:   d.PipeSet,
+		Output:    od,
+		HasOutput: opt.IncludeOutput,
 	}
 	for i, p := range r.pes {
+		spare := d.PEDeltas[i]
+		if spare == nil {
+			spare = d.PEFull[i]
+		}
+		d.PEDeltas[i], d.PEFull[i] = nil, nil
 		if opt.OnlyPE >= 0 && i != opt.OnlyPE {
 			continue
 		}
 		logic := p.Logic()
+		if rec, ok := logic.(pe.SnapshotRecycler); ok && cap(spare) > 0 {
+			rec.RecycleSnapshot(spare)
+		}
 		if dl, ok := logic.(pe.DeltaLogic); ok {
 			if patch, ok := dl.DeltaSnapshot(); ok {
 				d.PEDeltas[i] = patch
